@@ -58,6 +58,7 @@ from .model import (
 from .normconst import (
     NormConstCache,
     log_norm_const,
+    log_norm_const_neighbours,
     norm_const,
     norm_const_bruteforce,
     norm_const_bruteforce_table,
@@ -139,6 +140,7 @@ __all__ = [
     "load_config",
     "load_example",
     "log_norm_const",
+    "log_norm_const_neighbours",
     "log_norm_const_scaling",
     "log_stationary_weight",
     "lyapunov_drift",

@@ -360,11 +360,9 @@ def _run_balance(cfg: ExperimentConfig) -> ResultBundle:
     for seed in cfg.seeds:
         reports = random_balance_checks(cfg.spec, cfg.polytope, n=cfg.checks, seed=seed)
         flux = max(r.residual for r in reports)
-        rate = max(r.rate_residual for r in reports)
-        overall = max(overall, flux, rate)
-        rows.append((seed, len(reports), float(flux), float(rate)))
-        by_seed[str(seed)] = {"max_flux_residual": float(flux),
-                              "max_rate_residual": float(rate)}
+        overall = max(overall, flux)
+        rows.append((seed, len(reports), float(flux)))
+        by_seed[str(seed)] = {"max_flux_residual": float(flux)}
     summary = {
         "network": cfg.network_name or "inline",
         "checks_per_seed": cfg.checks,
@@ -373,7 +371,7 @@ def _run_balance(cfg: ExperimentConfig) -> ResultBundle:
     }
     return ResultBundle(
         kind="balance",
-        header=("seed", "checks", "max_flux_residual", "max_rate_residual"),
+        header=("seed", "checks", "max_flux_residual"),
         rows=tuple(rows),
         summary=summary,
         provenance=_provenance(cfg.document, cfg.seeds),

@@ -8,8 +8,13 @@ For a queue vector Q the constant is
 with Phi(0) = 1.  The main evaluator convolves pools sequentially, keeping
 only the 'frontier' queues that still appear in a later pool, and works on a
 max-scaled linear table so that queue vectors in the hundreds stay well
-conditioned.  ``norm_const_bruteforce`` enumerates the defining sum directly
-and is kept deliberately independent of the convolution code path.
+conditioned.  Each pool is one matrix product of the table with the pool's
+transfer matrix.  The store-forward rates need Phi(Q - e_j) for every j as
+well; ``log_norm_const_neighbours`` gets them from the same single pass by
+carrying a leading variant axis, one variant per decremented queue, in the
+spirit of Buzen's convolution algorithm (Buzen 1973).
+``norm_const_bruteforce`` enumerates the defining sum directly and is kept
+deliberately independent of the convolution code path.
 """
 
 from __future__ import annotations
@@ -26,6 +31,9 @@ _NEG_INF = float("-inf")
 
 # caps guarding pathological inputs; generous for every shipped example
 _MAX_TABLE_CELLS = 50_000_000
+# cells of one pool step of the frontier pass: its transfer matrix, and its
+# table with every variant
+_MAX_STEP_CELLS = 8_000_000
 
 # above this total occupancy the convolution is tilted (see _interior_log_tilt)
 _TILT_THRESHOLD = 120
@@ -65,28 +73,19 @@ def _check_queue_vector(Q, n_queues: int) -> np.ndarray:
     return qi
 
 
-def _pool_kernel_log(sizes, log_a, base_count, base_log):
-    """Log multinomial kernel over the variable member axes of one pool.
+def _log_kernel(counts, log_a, base_count, base_log):
+    """Log multinomial pool kernel at broadcastable arrays of served counts.
 
-    ``sizes[t]`` is Q_j+1 for variable member t, ``log_a[t]`` its log pool
-    coefficient; members whose allocation is forced contribute ``base_count``
-    and ``base_log`` as constants.
+    ``counts[t]`` holds the count of variable member t, ``log_a[t]`` its log
+    pool coefficient; members whose count is forced contribute
+    ``base_count`` and ``base_log`` as constants.
     """
-    if not sizes:
-        total = float(base_count)
-        return np.asarray(float(gammaln(total + 1.0)) + base_log)
-    shape = tuple(sizes)
-    total = np.full(shape, float(base_count))
-    k = np.zeros(shape)
-    for t, (sz, la) in enumerate(zip(sizes, log_a)):
-        u = np.arange(sz, dtype=float)
-        bshape = [1] * len(sizes)
-        bshape[t] = sz
-        u = u.reshape(bshape)
+    total = float(base_count)
+    k = base_log
+    for u, la in zip(counts, log_a):
         total = total + u
         k = k + u * la - gammaln(u + 1.0)
-    k = k + gammaln(total + 1.0) + base_log
-    return k
+    return k + gammaln(total + 1.0)
 
 
 def _interior_log_tilt(Q: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -132,32 +131,17 @@ def _interior_log_tilt(Q: np.ndarray, A: np.ndarray) -> np.ndarray:
     return z
 
 
-_band_mats: dict[int, np.ndarray] = {}
-
-
-def _band_matrix(S: int) -> np.ndarray:
-    """0/1 matrix W with W[v, u*S + r] = 1 iff u + r = v (all in 0..S-1)."""
-    W = _band_mats.get(S)
-    if W is None:
-        u = np.arange(S)
-        W = (u[:, None, None] == u[None, :, None] + u[None, None, :]).astype(float)
-        W = W.reshape(S, S * S)
-        _band_mats[S] = W
-    return W
-
-
 def _pool_plan(active: tuple, A: np.ndarray):
     """Static contraction schedule for one active set: per pool, the split
-    of its members by frontier role, the table permutation, and a kernel
-    memo.  Depends only on the zero pattern of the pool matrix, so one plan
-    serves every queue vector with the same support.  None means some
-    active queue has no pool at all (Phi = 0)."""
-    last_pool = {}
-    for j in active:
-        pools = np.flatnonzero(A[:, j] > 0)
-        if len(pools) == 0:
-            return None
-        last_pool[j] = int(pools[-1])
+    of its members by frontier role, the table permutation, and a memo of
+    transfer matrices.  Depends only on the zero pattern of the pool matrix,
+    so one plan serves every queue vector with the same support.
+
+    Roles: ``banded`` queues are on the frontier and reappear in a later
+    pool; ``contract`` queues are on the frontier and end here; ``fresh``
+    queues start here and reappear later; ``fixed`` queues belong to this
+    pool only, so it serves all of their packets."""
+    last_pool = {j: int(np.flatnonzero(A[:, j] > 0)[-1]) for j in active}
     steps = []
     axes: list[int] = []
     for l in range(A.shape[0]):
@@ -169,137 +153,157 @@ def _pool_plan(active: tuple, A: np.ndarray):
         fresh = [j for j in members if j not in axes and last_pool[j] != l]
         fixed = [j for j in members if j not in axes and last_pool[j] == l]
         pass_axes = [a for a in axes if a not in members]
-        perm = tuple(axes.index(a) for a in pass_axes + banded + contract)
+        # the table's leading axis runs over variants and never moves
+        perm = (0,) + tuple(1 + axes.index(a) for a in pass_axes + banded + contract)
         if perm == tuple(range(len(perm))):
             perm = None
-        npass, nb, nf = len(pass_axes), len(banded), len(fresh)
-        # permutation interleaving each running-total axis with its
-        # newly-served axis: (pass, r0,u0, r1,u1, ..., fresh)
-        inter = None
-        if nb > 1:
-            inter = tuple(
-                list(range(npass))
-                + [x for t in range(nb) for x in (npass + t, npass + nb + t)]
-                + list(range(npass + 2 * nb, npass + 2 * nb + nf))
-            )
         steps.append(
             (l, tuple(banded), tuple(contract), tuple(fresh), tuple(fixed),
-             perm, npass, tuple(pass_axes), inter, {})
+             perm, tuple(pass_axes), {})
         )
         axes = pass_axes + banded + fresh
     assert axes == [], "internal error: unconsumed frontier axes"
     return steps
 
 
-def _pool_kernel(l, contract, banded, fresh, fixed, sizes, fixedq, A, memo):
-    """Normalized pool kernel as a 2-d matrix (contract cells x rest).
+def _transfer_matrix(l, banded, contract, fresh, fixed, sizes, fixedq, A, memo):
+    """Normalized transfer matrix of pool l and its peak log value.
 
-    Axis order (contract..., banded..., fresh...), contract axes flipped so
-    index r pairs with serving Q_j - r packets; peak log value returned
-    separately.  Memoized when ``memo`` is given (exact coefficients only)."""
-    log_a = [math.log(A[l, j]) for j in contract + banded + fresh]
-    base_count = sum(fixedq)
+    ``sizes`` holds the extents Q_j + 1 of the banded, contract and fresh
+    members, in that order; ``fixedq`` the counts of the fixed members.
+    Rows run over the running totals (r_banded, r_contract) of the table so
+    far, columns over the new totals v_banded and the fresh counts u: the
+    entry is the pool kernel at served counts v - r (zero where negative),
+    Q - r and u.  Memoized in ``memo`` when one is given (exact coefficients
+    only)."""
+    key = (sizes, fixedq)
+    entry = memo.get(key) if memo is not None else None
+    if entry is not None:
+        return entry
+    nb, nc = len(banded), len(contract)
     base_log = sum(
         q * math.log(A[l, j]) - float(gammaln(q + 1.0))
         for j, q in zip(fixed, fixedq)
     )
-    klog = _pool_kernel_log(list(sizes), log_a, base_count, base_log)
+    klog = _log_kernel(
+        np.ix_(*[np.arange(s) for s in sizes]),
+        [math.log(A[l, j]) for j in banded + contract + fresh],
+        sum(fixedq), base_log,
+    )
     mk = float(np.max(klog))
     klin = np.exp(klog - mk)
-    if contract:
-        klin = np.flip(klin, axis=tuple(range(len(contract))))
-    c_cells = math.prod(sizes[: len(contract)])
-    klin2 = np.ascontiguousarray(klin).reshape(c_cells, -1)
-    entry = (klin2, mk)
+    if nc:
+        # running total r of a contracted queue leaves Q - r packets here
+        klin = np.flip(klin, axis=tuple(range(nb, nb + nc)))
+    if nb:
+        # gather the kernel onto the grid (r_banded, r_contract, v_banded, u)
+        grid = sizes[: nb + nc] + sizes[:nb] + sizes[nb + nc:]
+
+        def axis(i):
+            shape = [1] * len(grid)
+            shape[i] = grid[i]
+            return np.arange(grid[i]).reshape(shape)
+
+        served = [axis(nb + nc + t) - axis(t) for t in range(nb)]
+        rest = [axis(i) for i in range(nb, nb + nc)] + [axis(i) for i in range(2 * nb + nc, len(grid))]
+        klin = klin[tuple(np.maximum(d, 0) for d in served) + tuple(rest)]
+        for d in served:
+            klin = klin * (d >= 0)
+    entry = (np.reshape(klin, (math.prod(sizes[: nb + nc]), -1)), mk)
     if memo is not None and len(memo) < 20_000:
-        memo[(sizes, fixedq)] = entry
+        memo[key] = entry
     return entry
 
 
-def _convolve_log(Q: np.ndarray, A: np.ndarray, memo: dict | None = None) -> float:
-    active = tuple(j for j in range(len(Q)) if Q[j] > 0)
+def _frontier_pass(Q: np.ndarray, A: np.ndarray, memo: dict | None, neighbours: bool):
+    """log Phi(Q) by sequential pool convolution, one matrix product per pool.
+
+    With ``neighbours`` the table carries a leading variant axis and the pass
+    also returns log Phi(Q - e_j) for every j (-inf where Q_j = 0).  Up to
+    queue j's last pool the table does not depend on Q_j beyond its extent,
+    so the variant for j branches off the base variant there: a contracted
+    j serves one packet fewer, which is the base table shifted by one along
+    j's axis; a fixed j takes the pool kernel with Q_j - 1 packets."""
+    J = len(Q)
+    nbr = np.full(J, _NEG_INF) if neighbours else None
+    active = tuple(j for j in range(J) if Q[j] > 0)
     if not active:
-        return 0.0
+        return 0.0, nbr
     plan = memo.get(("plan", active)) if memo is not None else None
     if plan is None:
         plan = _pool_plan(active, A)
         if memo is not None:
             memo[("plan", active)] = plan
-    if plan is None:
-        return _NEG_INF  # some queue has no pool to hold its packets
 
-    tilt_correction = 0.0
-    tilted = False
-    if int(Q.sum()) > _TILT_THRESHOLD:
-        z = _interior_log_tilt(Q, A)
-        A = A * z[None, :]
-        tilt_correction = float(np.sum(Q * np.log(z)))
-        tilted = True  # coefficients are state dependent: skip kernel memos
-
+    # every step's extents, checked against the cap before anything is built
     sz = [int(v) + 1 for v in Q]
-    table = np.ones((1, 1))
-    offset = 0.0
-
-    for l, banded, contract, fresh, fixed, perm, npass, pass_axes, inter, kmemo in plan:
-        sizes = tuple(sz[j] for j in contract + banded + fresh)
-        fixedq = tuple(sz[j] - 1 for j in fixed)
-        entry = None if tilted else kmemo.get((sizes, fixedq))
-        if entry is None:
-            entry = _pool_kernel(
-                l, contract, banded, fresh, fixed, sizes, fixedq, A,
-                None if tilted else kmemo,
-            )
-        klin2, mk = entry
-        nb = len(banded)
-
-        p_cells = math.prod(sz[a] for a in pass_axes)
-        b_cells = math.prod(sz[j] for j in banded)
-        f_cells = math.prod(sz[j] for j in fresh)
-        if p_cells * b_cells * b_cells * f_cells > _MAX_TABLE_CELLS:
+    dims = []
+    n_var = 1
+    for _, banded, contract, fresh, fixed, _, pass_axes, _ in plan:
+        p = math.prod(sz[a] for a in pass_axes)
+        b = math.prod(sz[j] for j in banded)
+        c = math.prod(sz[j] for j in contract)
+        f = math.prod(sz[j] for j in fresh)
+        if neighbours:
+            n_var += len(contract) + len(fixed)
+        if max(b * b * c * f, n_var * p * b * max(c, f)) > _MAX_STEP_CELLS:
             raise CapExceededError(
                 "normalizing-constant table too large for this queue vector; "
                 "reduce the vector or reorder pools"
             )
+        dims.append((p, b * c))
 
+    log_z = None
+    if int(Q.sum()) > _TILT_THRESHOLD:
+        z = _interior_log_tilt(Q, A)
+        A = A * z[None, :]
+        log_z = np.log(z)
+
+    table = np.ones(1)
+    offset = 0.0
+    order: list[int] = []  # the queue of each variant after the base
+    for (l, banded, contract, fresh, fixed, perm, pass_axes, kmemo), (p, rows) in zip(plan, dims):
+        sizes = tuple(sz[j] for j in banded + contract + fresh)
+        fixedq = tuple(sz[j] - 1 for j in fixed)
+        # coefficients of a tilted pass depend on the state: no memo
+        memo_l = kmemo if log_z is None else None
+        M, mk = _transfer_matrix(l, banded, contract, fresh, fixed, sizes, fixedq, A, memo_l)
         if perm is not None:
             table = np.transpose(table, perm)
-        # rows run over (pass, banded so far), columns over finishing axes
-        part = table.reshape(p_cells * b_cells, -1) @ klin2
-        # fold each newly served count into its running-total axis; with the
-        # (r_t, u_t) pairs adjacent this is one small matmul per banded axis
-        if nb:
-            if inter is not None:
-                part = part.reshape(
-                    tuple(sz[a] for a in pass_axes)
-                    + tuple(sz[j] for j in banded) * 2
-                    + tuple(sz[j] for j in fresh)
-                )
-                part = np.transpose(part, inter)
-            trail = f_cells
-            for t in range(nb - 1, -1, -1):
-                S = sz[banded[t]]
-                lead = p_cells * math.prod(sz[banded[i]] ** 2 for i in range(t))
-                part = _band_matrix(S) @ part.reshape(lead, S * S, trail)
-                trail *= S
-        out = part
+        if neighbours and contract:
+            base = table[0]
+            births = np.zeros((len(contract),) + base.shape)
+            lead = (slice(None),) * (len(pass_axes) + len(banded))
+            for t in range(len(contract)):
+                births[(t,) + lead + (slice(1, None),)] = base[lead + (slice(None, -1),)]
+                lead += (slice(None),)
+            table = np.concatenate([table, births])
+            order += contract
+        flat = table.reshape(-1, rows)
+        out = flat @ M
+        if neighbours and fixed:
+            extra = [out]
+            for t, j in enumerate(fixed):
+                fq = fixedq[:t] + (fixedq[t] - 1,) + fixedq[t + 1:]
+                Mj, mkj = _transfer_matrix(l, banded, contract, fresh, fixed, sizes, fq, A, memo_l)
+                extra.append((flat[:p] @ Mj) * math.exp(mkj - mk))
+            out = np.concatenate(extra)
+            order += fixed
 
         offset += mk
         m = float(out.max())
-        if m <= 0.0:
-            return _NEG_INF
-        if m > 1e100 or m < 1e-100:
+        if m > 1e100 or 0.0 < m < 1e-100:
             out = out / m
             offset += math.log(m)
-        table = out.reshape(
-            tuple(sz[a] for a in pass_axes)
-            + tuple(sz[j] for j in banded)
-            + tuple(sz[j] for j in fresh)
-        )
+        table = out.reshape((-1,) + tuple(sz[j] for j in pass_axes + banded + fresh))
 
-    val = float(table.reshape(()))
-    if val <= 0.0:
-        return _NEG_INF
-    return offset + math.log(val) - tilt_correction
+    with np.errstate(divide="ignore"):
+        logs = offset + np.log(table)
+    if log_z is not None:
+        logs -= float(Q @ log_z)
+    if neighbours:
+        nbr[order] = logs[1:] + (log_z[order] if log_z is not None else 0.0)
+    return float(logs[0]), nbr
 
 
 def log_norm_const(Q, polytope: CapacityPolytope, cache: NormConstCache | None = None) -> float:
@@ -313,10 +317,36 @@ def log_norm_const(Q, polytope: CapacityPolytope, cache: NormConstCache | None =
         hit = cache.lookup(key)
         if hit is not None:
             return hit
-    val = _convolve_log(q, polytope.matrix, cache.kernels if cache is not None else None)
+    val, _ = _frontier_pass(q, polytope.matrix, cache.kernels if cache is not None else None, False)
     if cache is not None:
         cache.store(key, val)
     return val
+
+
+def log_norm_const_neighbours(
+    Q, polytope: CapacityPolytope, cache: NormConstCache | None = None
+) -> tuple[float, np.ndarray]:
+    """log Phi(Q) and the vector of every log Phi(Q - e_j) from one frontier
+    pass; entries with Q_j = 0 are -inf (the Phi = 0 convention).  With a
+    cache, all J + 1 values are looked up first and stored after."""
+    q = _check_queue_vector(Q, polytope.n_queues)
+    J = len(q)
+    if np.any(q < 0):
+        return -math.inf, np.full(J, _NEG_INF)
+    key = tuple(int(v) for v in q)
+    down = [key[:j] + (key[j] - 1,) + key[j + 1:] if key[j] > 0 else None for j in range(J)]
+    if cache is not None:
+        base = cache.lookup(key)
+        hits = [cache.lookup(k) if k is not None else _NEG_INF for k in down]
+        if base is not None and None not in hits:
+            return base, np.array(hits)
+    base, nbr = _frontier_pass(q, polytope.matrix, cache.kernels if cache is not None else None, True)
+    if cache is not None:
+        cache.store(key, base)
+        for k, v in zip(down, nbr):
+            if k is not None:
+                cache.store(k, float(v))
+    return base, nbr
 
 
 def norm_const(Q, polytope: CapacityPolytope, cache: NormConstCache | None = None) -> float:
@@ -344,8 +374,8 @@ def norm_const_table(polytope: CapacityPolytope, shape) -> np.ndarray:
         if not members:
             continue
         sizes = [shape[j] for j in members]
-        klog = _pool_kernel_log(sizes, [math.log(A[l, j]) for j in members], 0, 0.0)
-        klin = np.exp(klog)
+        counts = np.ix_(*[np.arange(s) for s in sizes])
+        klin = np.exp(_log_kernel(counts, [math.log(A[l, j]) for j in members], 0, 0.0))
         out = np.zeros(shape)
         for u in itertools.product(*[range(s) for s in sizes]):
             dst = [slice(None)] * J

@@ -413,6 +413,17 @@ def _slotted_run(spec, cfg, serve_fn, kind, initial, transient):
     )
 
 
+def _warm_solve(Q, polytope, prices):
+    """The fair allocation at Q from warm dual prices, solved again from cold
+    when the warm start does not converge: zero warm prices on every pool
+    of an occupied queue can leave the ascent far outside the capacity
+    region."""
+    sol = solve_prop_fair(Q, polytope, warm_prices=prices)
+    if not sol.converged and prices is not None:
+        sol = solve_prop_fair(Q, polytope)
+    return sol
+
+
 def simulate_prop_sched(
     spec: NetworkSpec,
     schedules,
@@ -427,7 +438,8 @@ def simulate_prop_sched(
     optimum into a lottery over the given schedules, draw one, and serve
     min(schedule_j, Q_j) packets from each queue front, forwarding in
     queue-index order.  Solutions and lotteries are cached per queue
-    vector, with dual warm starts across slots.
+    vector, with dual warm starts across slots; a warm solve that does not
+    converge is repeated from cold.
     """
     if polytope is None:
         polytope = spec.capacity_polytope()
@@ -442,7 +454,7 @@ def simulate_prop_sched(
         key = tuple(int(v) for v in Q)
         dist = dist_cache.get(key)
         if dist is None:
-            sol = solve_prop_fair(Q, polytope, warm_prices=state["prices"])
+            sol = _warm_solve(Q, polytope, state["prices"])
             state["prices"] = sol.prices
             dist = decompose_mean(sol.rates, S)
             dist_cache[key] = dist

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .model import CapacityPolytope, LoadProfile, NetworkSpec, compute_loads
-from .normconst import NormConstCache, log_norm_const
+from .normconst import NormConstCache, log_norm_const, log_norm_const_neighbours
 
 
 class InadmissibleLoadError(ValueError):
@@ -27,20 +27,14 @@ def store_forward_rates(
 ) -> np.ndarray:
     """Service rate vector sigma(Q): sigma_j = Phi(Q - e_j) / Phi(Q).
 
-    Empty queues get rate zero (Phi of a vector with a negative entry is
-    zero).  The result always satisfies matrix @ sigma <= 1.
+    Phi(Q) and every Phi(Q - e_j) come from one frontier pass.  Empty queues
+    get rate zero (Phi of a vector with a negative entry is zero).  The
+    result always satisfies matrix @ sigma <= 1.
     """
-    q = np.asarray(Q, dtype=np.int64)
-    base = log_norm_const(q, polytope, cache)
-    sigma = np.zeros(len(q))
+    base, down = log_norm_const_neighbours(Q, polytope, cache)
     if base == float("-inf"):
-        return sigma
-    for j in range(len(q)):
-        if q[j] > 0:
-            q[j] -= 1
-            sigma[j] = math.exp(log_norm_const(q, polytope, cache) - base)
-            q[j] += 1
-    return sigma
+        return np.zeros(len(down))
+    return np.exp(down - base)
 
 
 def _route_index(spec: NetworkSpec) -> dict[str, int]:

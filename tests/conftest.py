@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -84,8 +86,8 @@ def merge():
 def cycle4():
     """Interference 4-cycle with single-hop routes, rate 0.3 each."""
     g = InterferenceGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    with np.testing.suppress_warnings() as sup:
-        sup.filter(UserWarning, "pool matrix is not full row rank")
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "pool matrix is not full row rank", UserWarning)
         poly = cliques_to_polytope(g)
     spec = NetworkSpec(
         n_queues=4,

@@ -25,7 +25,6 @@ def test_balance_hand_case(single_pool):
     spec, poly = single_pool
     rep = balance_check(((1, 0), ((0,), ())), ("arrival", 1), spec, poly)
     assert rep.residual < 1e-14
-    assert rep.rate_residual < 1e-14
     assert rep.forward_flux > 0
 
 
@@ -55,9 +54,7 @@ def test_random_balance_residuals(tandem, merge, pooled_route, cycle4):
     for spec, poly in nets:
         reports = random_balance_checks(spec, poly, n=150, seed=31)
         worst = max(r.residual for r in reports)
-        worst_rate = max(r.rate_residual for r in reports)
         assert worst < 1e-12
-        assert worst_rate < 1e-12
 
 
 def test_share_pool_predicate(cycle4):

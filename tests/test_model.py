@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -106,8 +107,8 @@ def test_loads_dimension_mismatch(single_pool):
 
 def test_cliques_four_cycle():
     g = InterferenceGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    with np.testing.suppress_warnings() as sup:
-        sup.filter(UserWarning)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
         poly = cliques_to_polytope(g)
     assert poly.matrix.shape == (4, 4)
     rows = {tuple(r) for r in poly.matrix.astype(int)}
@@ -117,8 +118,8 @@ def test_cliques_four_cycle():
 def test_cliques_complete_bipartite():
     # K_{2,2}: parts {0, 3} and {1, 2}; its cliques are the 4 edges.
     g = InterferenceGraph.from_edges(4, [(0, 1), (0, 2), (3, 1), (3, 2)])
-    with np.testing.suppress_warnings() as sup:
-        sup.filter(UserWarning)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
         poly = cliques_to_polytope(g)
     assert poly.n_pools == 4
     assert np.all(poly.matrix.sum(axis=1) == 2)

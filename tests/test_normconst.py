@@ -1,19 +1,26 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from switchnet.model import CapacityPolytope, CapExceededError
 from switchnet.normconst import (
+    _TILT_THRESHOLD,
     NormConstCache,
     log_norm_const,
+    log_norm_const_neighbours,
     norm_const,
     norm_const_bruteforce,
     norm_const_bruteforce_table,
     norm_const_table,
 )
+from switchnet.presets import load_example
+from switchnet.storeforward import store_forward_rates
 
 
 def _single_pool_exact(Q, weights):
@@ -140,3 +147,116 @@ def test_dimension_check():
         log_norm_const([1, 2, 3], poly)
     with pytest.raises(ValueError):
         log_norm_const([0.5, 1], poly)
+
+
+# -------------------- one pass for Phi(Q) and every Phi(Q - e_j) --------------------
+
+
+@st.composite
+def polytopes(draw):
+    """<= 4 queues, <= 3 pools, positive weights, every queue and pool used,
+    full row rank: the shape of the acceptance module's random polytopes."""
+    J = draw(st.integers(1, 4))
+    L = draw(st.integers(1, min(3, J)))
+    weight = st.one_of(st.just(0.0), st.floats(0.2, 1.5))
+    A = np.array(draw(st.lists(st.lists(weight, min_size=J, max_size=J), min_size=L, max_size=L)))
+    assume(np.all(A.sum(axis=0) > 0) and np.all(A.sum(axis=1) > 0))
+    assume(np.linalg.matrix_rank(A, tol=1e-9) == L)
+    return CapacityPolytope(A)
+
+
+def _check_rate_properties(q, poly, sigma):
+    assert np.all(poly.matrix @ sigma <= 1.0 + 1e-12)
+    np.testing.assert_array_equal(sigma == 0.0, q == 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly=polytopes(), data=st.data())
+def test_rates_match_bruteforce_ratios(poly, data):
+    q = np.array(data.draw(st.lists(st.integers(0, 3), min_size=poly.n_queues,
+                                    max_size=poly.n_queues)))
+    sigma = store_forward_rates(q, poly)
+    phi = norm_const_bruteforce(q, poly)
+    for j in np.flatnonzero(q):
+        down = q.copy()
+        down[j] -= 1
+        assert sigma[j] == pytest.approx(norm_const_bruteforce(down, poly) / phi, rel=1e-12)
+    _check_rate_properties(q, poly, sigma)
+
+
+def test_rates_single_pool_members_match_bruteforce():
+    # tri-grid: queues 0 and 2 sit in one pool each
+    poly = load_example("tri-grid").polytope
+    assert sorted(j for j in range(5) if len(poly.pools_of(j)) == 1) == [0, 2]
+    for q in itertools.product(range(3), repeat=5):
+        q = np.array(q)
+        sigma = store_forward_rates(q, poly)
+        phi = norm_const_bruteforce(q, poly)
+        for j in np.flatnonzero(q):
+            down = q.copy()
+            down[j] -= 1
+            assert sigma[j] == pytest.approx(norm_const_bruteforce(down, poly) / phi, rel=1e-12)
+        _check_rate_properties(q, poly, sigma)
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly=polytopes(), data=st.data())
+def test_rates_above_tilt_threshold_match_separate_passes(poly, data):
+    J = poly.n_queues
+    q = np.array(data.draw(st.lists(st.integers(0, 3), min_size=J, max_size=J)))
+    q[data.draw(st.integers(0, J - 1))] = data.draw(
+        st.integers(_TILT_THRESHOLD + 1, _TILT_THRESHOLD + 40))
+    sigma = store_forward_rates(q, poly)
+    base = log_norm_const(q, poly)
+    for j in np.flatnonzero(q):
+        down = q.copy()
+        down[j] -= 1
+        assert sigma[j] == pytest.approx(math.exp(log_norm_const(down, poly) - base), rel=1e-11)
+    _check_rate_properties(q, poly, sigma)
+
+
+def test_neighbours_fill_the_cache():
+    poly = load_example("cycle4").polytope
+    cache = NormConstCache(poly)
+    q = np.array([2, 0, 1, 3])
+    base, down = log_norm_const_neighbours(q, poly, cache)
+    assert len(cache) == 4  # Q and its three occupied neighbours
+    assert cache.lookup((2, 0, 1, 3)) == base
+    assert cache.lookup((2, 0, 0, 3)) == down[2]
+    assert down[1] == -math.inf
+    again = log_norm_const_neighbours(q, poly, cache)
+    assert again[0] == base
+    np.testing.assert_array_equal(again[1], down)
+
+
+def _raises_before_allocating(fn, *args):
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError):
+            fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_frontier_pass_cap_on_transfer_matrix():
+    # grid3x3 at Q_j = 60: two banded queues in one pool need a 61^4-cell
+    # transfer matrix
+    poly = load_example("grid3x3").polytope
+    q = np.full(9, 60)
+    _raises_before_allocating(log_norm_const, q, poly)
+    _raises_before_allocating(store_forward_rates, q, poly)
+
+
+def test_frontier_pass_cap_on_variant_table():
+    # five queues fixed in pool 1 and two contracted in pool 2 give eight
+    # variants of a 1101^2-cell table: only the neighbour pass is too large
+    A = np.zeros((3, 7))
+    A[0, :2] = 1.0
+    A[1, 2:] = 1.0
+    A[2, :2] = (0.5, 1.0)
+    poly = CapacityPolytope(A)
+    q = np.array([1100, 1100, 1, 1, 1, 1, 1])
+    assert np.isfinite(log_norm_const(q, poly))
+    _raises_before_allocating(store_forward_rates, q, poly)

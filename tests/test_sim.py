@@ -3,7 +3,10 @@ import pytest
 
 from switchnet.metrics import SimConfig, collect_joint
 from switchnet.model import CapacityPolytope, NetworkSpec, Route, compute_loads
+from switchnet.presets import load_example, scaled_rates
+from switchnet.propfair import decompose_mean
 from switchnet.sim import (
+    _warm_solve,
     simulate_backpressure,
     simulate_prop_sched,
     simulate_store_forward,
@@ -207,3 +210,28 @@ def test_empty_route_queue_never_served(one_edge):
     )
     assert tr.composition_counts[0, 1] == 0
     assert tr.composition_counts[1, 0] == 0
+
+
+def test_prop_sched_bad_warm_start_solves_again_from_cold():
+    # zero warm prices on both pools of queue 3 leave the warm ascent with
+    # rates [0, 0, 0.5, 1.5e7], which no schedule lottery can reach
+    ex = load_example("cycle4")
+    sol = _warm_solve(np.array([0, 0, 1, 1]), ex.polytope, np.array([0.0, 0.0, 2.0, 0.0]))
+    assert sol.converged
+    np.testing.assert_allclose(sol.rates, [0.0, 0.0, 0.5, 0.5], atol=1e-8)
+    np.testing.assert_allclose(decompose_mean(sol.rates, ex.schedules()).mean, sol.rates, atol=1e-7)
+
+
+@pytest.mark.parametrize("load", [0.5, 0.8])
+@pytest.mark.parametrize("name", ["k22", "cycle4", "tri-grid", "grid3x3"])
+def test_prop_sched_multi_pool_presets(name, load):
+    # warm-started solves fail to converge on these networks now and then;
+    # each such slot must fall back to a cold solve rather than raise
+    ex = load_example(name)
+    spec = scaled_rates(ex, load)
+    for seed in range(3):
+        tr = simulate_prop_sched(
+            spec, ex.schedules(), SimConfig(horizon=2000, seed=seed), polytope=ex.polytope
+        )
+        assert tr.conservation_ok()
+        assert not tr.transient
