@@ -35,7 +35,8 @@ _MAX_TABLE_CELLS = 50_000_000
 # table with every variant
 _MAX_STEP_CELLS = 8_000_000
 
-# above this total occupancy the convolution is tilted (see _interior_log_tilt)
+# above this total occupancy the convolution is tilted by the proportionally
+# fair rates at Q (see _frontier_pass)
 _TILT_THRESHOLD = 120
 
 
@@ -86,49 +87,6 @@ def _log_kernel(counts, log_a, base_count, base_log):
         total = total + u
         k = k + u * la - gammaln(u + 1.0)
     return k + gammaln(total + 1.0)
-
-
-def _interior_log_tilt(Q: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """A rate point z in {A z <= 1, z > 0} roughly maximizing sum Q_j log z_j.
-
-    Used purely as a preconditioner: evaluating the convolution with
-    A_lj -> A_lj z_j multiplies every term of Phi by prod_j z_j^{Q_j}, which
-    keeps all table entries <= 1 for large scaled queue vectors.  A loose
-    dual ascent is plenty; tilt quality only affects conditioning.
-    """
-    active = np.flatnonzero(Q > 0)
-    q = Q[active].astype(float)
-    q = q / q.sum()
-    Aa = A[:, active]
-    rows = np.flatnonzero(Aa.sum(axis=1) > 0)
-    Aa = Aa[rows]
-    p = np.ones(len(rows))
-    step = 1.0
-    s = None
-    for _ in range(2000):
-        c = Aa.T @ p
-        s = q / c
-        grad = 1.0 - Aa @ s
-        if np.max(p * np.abs(grad)) < 1e-9 and np.max(-grad, initial=0.0) < 1e-9:
-            break
-        g0 = float(np.sum(q * (np.log(q) - np.log(c) - 1.0)) + p.sum())
-        while step > 1e-12:
-            p_new = np.maximum(p - step * grad, 0.0)
-            c_new = Aa.T @ p_new
-            if np.all(c_new > 0):
-                g1 = float(np.sum(q * (np.log(q) - np.log(c_new) - 1.0)) + p_new.sum())
-                if g1 <= g0:
-                    break
-            step *= 0.5
-        p = np.maximum(p - step * grad, 0.0)
-        step = min(step * 1.5, 1e6)
-    c = Aa.T @ p
-    s = q / c
-    scale = float(np.max(A[:, active] @ s))
-    s = s / max(scale, 1.0) * (1.0 - 1e-12)
-    z = np.ones(len(Q))
-    z[active] = s
-    return z
 
 
 def _pool_plan(active: tuple, A: np.ndarray):
@@ -215,7 +173,7 @@ def _transfer_matrix(l, banded, contract, fresh, fixed, sizes, fixedq, A, memo):
     return entry
 
 
-def _frontier_pass(Q: np.ndarray, A: np.ndarray, memo: dict | None, neighbours: bool):
+def _frontier_pass(Q: np.ndarray, polytope: CapacityPolytope, memo: dict | None, neighbours: bool):
     """log Phi(Q) by sequential pool convolution, one matrix product per pool.
 
     With ``neighbours`` the table carries a leading variant axis and the pass
@@ -224,6 +182,7 @@ def _frontier_pass(Q: np.ndarray, A: np.ndarray, memo: dict | None, neighbours: 
     so the variant for j branches off the base variant there: a contracted
     j serves one packet fewer, which is the base table shifted by one along
     j's axis; a fixed j takes the pool kernel with Q_j - 1 packets."""
+    A = polytope.matrix
     J = len(Q)
     nbr = np.full(J, _NEG_INF) if neighbours else None
     active = tuple(j for j in range(J) if Q[j] > 0)
@@ -255,7 +214,15 @@ def _frontier_pass(Q: np.ndarray, A: np.ndarray, memo: dict | None, neighbours: 
 
     log_z = None
     if int(Q.sum()) > _TILT_THRESHOLD:
-        z = _interior_log_tilt(Q, A)
+        # A_lj -> A_lj z_j multiplies every term of Phi by prod_j z_j^Q_j,
+        # corrected at the end; the fair rates maximize that product over
+        # A z <= 1, which keeps the table well scaled for large vectors.  The
+        # tilt only conditions the pass: any z > 0 gives the same Phi.
+        from .propfair import solve_prop_fair  # propfair imports this module
+
+        z = solve_prop_fair(Q, polytope).rates
+        z = z / max(float(np.max(A @ z)), 1.0) * (1.0 - 1e-12)
+        z[Q == 0] = 1.0
         A = A * z[None, :]
         log_z = np.log(z)
 
@@ -317,7 +284,7 @@ def log_norm_const(Q, polytope: CapacityPolytope, cache: NormConstCache | None =
         hit = cache.lookup(key)
         if hit is not None:
             return hit
-    val, _ = _frontier_pass(q, polytope.matrix, cache.kernels if cache is not None else None, False)
+    val, _ = _frontier_pass(q, polytope, cache.kernels if cache is not None else None, False)
     if cache is not None:
         cache.store(key, val)
     return val
@@ -340,7 +307,7 @@ def log_norm_const_neighbours(
         hits = [cache.lookup(k) if k is not None else _NEG_INF for k in down]
         if base is not None and None not in hits:
             return base, np.array(hits)
-    base, nbr = _frontier_pass(q, polytope.matrix, cache.kernels if cache is not None else None, True)
+    base, nbr = _frontier_pass(q, polytope, cache.kernels if cache is not None else None, True)
     if cache is not None:
         cache.store(key, base)
         for k, v in zip(down, nbr):

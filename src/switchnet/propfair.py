@@ -2,9 +2,12 @@
 between it and the store-forward allocation under queue scaling, and the
 decomposition of a fractional allocation into a lottery over schedules.
 
-The solver runs projected dual ascent on pool prices with a backtracking
-line search, then polishes the active set with damped Newton steps so the
-KKT residual lands well below the requested tolerance.
+The solver is a primal-dual interior-point method (Mehrotra's
+predictor-corrector) on the rates, slacks and pool prices, followed by an
+active-set Newton polish on the prices that makes degenerate optima exact.
+It needs no starting point, and one solve serves every caller: the
+proportional scheduler, the lottery decomposition and the tilt of the
+normalizing-constant pass.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import lapack
 from scipy.optimize import linprog
 
 from .model import CapacityPolytope
@@ -40,25 +44,92 @@ class PropFairSolution:
     converged: bool
 
 
-def _dual_value(p, A, q):
+def _interior_point(q, A, max_iter):
+    """Pool prices of max sum q_j log s_j s.t. A s <= 1 by a primal-dual
+    interior-point method with Mehrotra's predictor-corrector.
+
+    The iterate stacks rates s > 0, slacks w = 1 - A s > 0 and prices
+    p > 0.  Stationarity is linearized in its bilinear form
+    s_j (A^T p)_j = q_j, so each step solves one Newton system in s,
+    H = A^T diag(p / w) A + diag(A^T p / s); the last term is q / s^2 at
+    the optimum.  (Linearizing q / s = A^T p instead lets a step jump far
+    back from the boundary of a pool that serves one queue alone, and the
+    iteration can cycle there.)  It stops when the scaled KKT measure
+    (stationarity times s, primal residual, complementarity) is below
+    1e-12, when H is numerically singular, or when the measure, once below
+    1e-8, stops improving; earlier on it need not fall monotonically.
+    Returns the prices of the best iterate and the number of steps.
+    """
+    m, n = A.shape
+    x = np.empty(n + 2 * m)
+    s, w, p = x[:n], x[n:n + m], x[n + m:]
+    s[:] = 0.5 / float(A.sum(axis=1).max())
+    w[:] = 1.0 - A @ s
+    p[:] = 1.0
+    best, best_p = np.inf, p.copy()
+    stale = 0
+
+    def step(dx):
+        # largest step in (0, 1] keeping x + step * dx >= 0
+        return min(1.0, -1.0 / min(float(np.min(dx / x)), -1.0))
+
+    for it in range(max_iter + 1):
+        y = A.T @ p
+        r_d = q / s - y
+        r_p = 1.0 - A @ s - w
+        comp = p * w
+        measure = float(np.max(np.abs(np.concatenate([s * r_d, r_p, comp]))))
+        if measure < best:
+            best, best_p = measure, p.copy()
+            stale = 0
+        else:
+            stale += 1
+        if best <= 1e-12 or (best <= 1e-8 and stale >= 3) or it == max_iter:
+            break
+        d = p / w
+        factor, info = lapack.dpotrf((A.T * d) @ A + np.diag(y / s), lower=1)
+        if info != 0:
+            break
+
+        def direction(r_c):
+            # Newton step for s (A^T p) = q and A s + w = 1 that moves p w by -r_c
+            ds = lapack.dpotrs(factor, r_d + A.T @ (d * r_p + r_c / w), lower=1)[0]
+            dp = d * (A @ ds - r_p) - r_c / w
+            return np.concatenate([ds, -(r_c + w * dp) / p, dp])
+
+        mu = float(comp.sum()) / m
+        dx = direction(comp)  # predictor: aim at p w = 0
+        a = step(dx)
+        dw, dp = dx[n:n + m], dx[n + m:]
+        sigma = (float((w + a * dw) @ (p + a * dp)) / m / mu) ** 3
+        dx = direction(comp + dw * dp - sigma * mu)
+        x += 0.99 * step(dx) * dx
+    return best_p, it
+
+
+def _price_residual(p, A, q):
+    """KKT residual of prices p in the normalized problem, where the rates
+    q / (A^T p) are stationary by construction: the larger of the capacity
+    violation and the complementary slackness.  Also returns A^T p."""
     c = A.T @ p
-    if np.any(c <= 0.0):
-        return np.inf, c
-    return float(q @ (np.log(q) - np.log(c) - 1.0) + p.sum()), c
+    slack = 1.0 - A @ (q / c)
+    return max(np.max(-slack, initial=0.0), np.max(p * np.abs(slack), initial=0.0)), c
 
 
 def solve_prop_fair(
     Q,
     polytope: CapacityPolytope,
     tol: float = 1e-8,
-    max_iter: int = 100_000,
-    warm_prices=None,
+    max_iter: int = 200,
 ) -> PropFairSolution:
     """Proportionally fair allocation for queue vector Q.
 
     Queues with Q_j = 0 are pinned to rate 0 and dropped from the
-    objective.  ``warm_prices`` (full pool-length vector) seeds the dual
-    iteration, which pays off when solving a stream of nearby problems.
+    objective.  The problem is normalized to sum(q) = 1 and solved by a
+    primal-dual interior-point method; an active-set Newton polish on the
+    prices then makes degenerate optima (a pool with zero price and zero
+    slack) exact.  ``converged`` reports whether the KKT residual is at
+    most ``tol``.
     """
     q_raw = np.asarray(Q, dtype=float)
     if q_raw.shape != (polytope.n_queues,):
@@ -77,54 +148,13 @@ def solve_prop_fair(
     A = A_act[rows]
     n_pools = len(rows)
 
-    if warm_prices is not None:
-        # raw duals scale with sum(Q); map them into the normalized problem
-        p = np.maximum(np.asarray(warm_prices, dtype=float)[rows] / q_raw.sum(), 1e-12)
-    else:
-        p = np.ones(n_pools)
-
-    g, c = _dual_value(p, A, q)
-    step = 1.0
-    iters = 0
-    stalled = 0
-    # ---- projected dual ascent with backtracking ----
-    for _ in range(max_iter):
-        iters += 1
-        s = q / c
-        grad = 1.0 - A @ s
-        viol = max(np.max(-grad, initial=0.0), 0.0)
-        comp = np.max(p * np.abs(grad), initial=0.0)
-        if viol <= tol and comp <= tol:
-            break
-        accepted = False
-        t = step
-        for _ in range(60):
-            p_new = np.maximum(p - t * grad, 0.0)
-            g_new, c_new = _dual_value(p_new, A, q)
-            d = p_new - p
-            if g_new <= g - 1e-4 / max(t, 1e-300) * float(d @ d):
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted or not np.any(p_new != p):
-            break
-        # the sufficient-decrease term underflows near the optimum, letting
-        # zero-progress steps pass; count them and hand off to the polish
-        if g_new >= g - 1e-15 * abs(g):
-            stalled += 1
-            if stalled >= 5:
-                p, g, c = p_new, g_new, c_new
-                break
-        else:
-            stalled = 0
-        p, g, c = p_new, g_new, c_new
-        step = min(t * 2.0, 1e8)
+    p, iters = _interior_point(q, A, max_iter)
+    res, c = _price_residual(p, A, q)
 
     # ---- active-set Newton polish ----
     newton_iters = 0
     for _ in range(4):
-        s = q / c
-        slack = 1.0 - A @ s
+        slack = 1.0 - A @ (q / c)
         act = (p > 1e-9 * max(p.max(initial=0.0), 1.0)) | (slack < 1e-7)
         if not np.any(act):
             break
@@ -145,6 +175,12 @@ def solve_prop_fair(
                 break
             J = -(B * (q / c_a**2)) @ B.T
             delta = np.linalg.lstsq(J, -F, rcond=None)[0]
+            drop = p_a + delta < 0.0
+            if np.any(drop) and not np.all(drop):
+                # the full step prices these pools below zero: they are
+                # slack, or tight at zero price, at the optimum
+                idx, B, p_a = idx[~drop], B[~drop], p_a[~drop]
+                continue
             t = 1.0
             f0 = float(F @ F)
             stepped = False
@@ -165,20 +201,10 @@ def solve_prop_fair(
         if improved:
             p_try = np.zeros(n_pools)
             p_try[idx] = p_a
-            g_try, c_try = _dual_value(p_try, A, q)
-            s_try = q / c_try
-            grad_try = 1.0 - A @ s_try
-            v_try = max(np.max(-grad_try, initial=0.0), 0.0)
-            cm_try = np.max(p_try * np.abs(grad_try), initial=0.0)
-            s0 = q / c
-            grad0 = 1.0 - A @ s0
-            v0 = max(np.max(-grad0, initial=0.0), 0.0)
-            cm0 = np.max(p * np.abs(grad0), initial=0.0)
-            if max(v_try, cm_try) <= max(v0, cm0):
-                p, g, c = p_try, g_try, c_try
-        s = q / c
-        slack = 1.0 - A @ s
-        if max(np.max(-slack, initial=0.0), np.max(p * np.abs(slack), initial=0.0)) <= tol * 1e-4:
+            res_try, c_try = _price_residual(p_try, A, q)
+            if res_try <= res:
+                p, c, res = p_try, c_try, res_try
+        if res <= tol * 1e-4:
             break
 
     # ---- assemble full-size solution ----

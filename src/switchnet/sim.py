@@ -413,17 +413,6 @@ def _slotted_run(spec, cfg, serve_fn, kind, initial, transient):
     )
 
 
-def _warm_solve(Q, polytope, prices):
-    """The fair allocation at Q from warm dual prices, solved again from cold
-    when the warm start does not converge: zero warm prices on every pool
-    of an occupied queue can leave the ascent far outside the capacity
-    region."""
-    sol = solve_prop_fair(Q, polytope, warm_prices=prices)
-    if not sol.converged and prices is not None:
-        sol = solve_prop_fair(Q, polytope)
-    return sol
-
-
 def simulate_prop_sched(
     spec: NetworkSpec,
     schedules,
@@ -437,9 +426,8 @@ def simulate_prop_sched(
     current queue vector (empty queues pinned to zero), decompose the
     optimum into a lottery over the given schedules, draw one, and serve
     min(schedule_j, Q_j) packets from each queue front, forwarding in
-    queue-index order.  Solutions and lotteries are cached per queue
-    vector, with dual warm starts across slots; a warm solve that does not
-    converge is repeated from cold.
+    queue-index order.  Lotteries are cached per queue vector; a solve that
+    does not converge raises rather than feed the decomposition.
     """
     if polytope is None:
         polytope = spec.capacity_polytope()
@@ -448,14 +436,17 @@ def simulate_prop_sched(
         raise ValueError("schedules must be (n_schedules, n_queues)")
     loads = compute_loads(spec, polytope)
     dist_cache: dict = {}
-    state = {"prices": None}
 
     def serve(slot, rng, Q, X, order, fifo):
         key = tuple(int(v) for v in Q)
         dist = dist_cache.get(key)
         if dist is None:
-            sol = _warm_solve(Q, polytope, state["prices"])
-            state["prices"] = sol.prices
+            sol = solve_prop_fair(Q, polytope)
+            if not sol.converged:
+                raise RuntimeError(
+                    f"proportional-fair solve at Q={key} stopped at KKT residual "
+                    f"{sol.kkt_residual:.3g}"
+                )
             dist = decompose_mean(sol.rates, S)
             dist_cache[key] = dist
         sched = dist.sample(rng)

@@ -207,3 +207,17 @@ def test_cli_override_flag(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "50" in out
+
+
+def test_simulate_prop_sched_on_cycle4(tmp_path):
+    # a multi-pool network: every slot needs a fair allocation that a lottery
+    # over the independent sets can reach
+    cfg = _write(
+        tmp_path,
+        {"network": "cycle4", "seeds": [0], "sim": {"engine": "prop-sched", "horizon": 1500}},
+    )
+    out = tmp_path / "results"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    body = (out / "metrics.csv").read_text()
+    assert body.startswith("seed,metric,id,value,stderr,n\n")
+    assert len(body.splitlines()) > 1

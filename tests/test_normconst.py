@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
@@ -21,6 +21,8 @@ from switchnet.normconst import (
 )
 from switchnet.presets import load_example
 from switchnet.storeforward import store_forward_rates
+
+from strategies import polytopes
 
 
 def _single_pool_exact(Q, weights):
@@ -152,19 +154,6 @@ def test_dimension_check():
 # -------------------- one pass for Phi(Q) and every Phi(Q - e_j) --------------------
 
 
-@st.composite
-def polytopes(draw):
-    """<= 4 queues, <= 3 pools, positive weights, every queue and pool used,
-    full row rank: the shape of the acceptance module's random polytopes."""
-    J = draw(st.integers(1, 4))
-    L = draw(st.integers(1, min(3, J)))
-    weight = st.one_of(st.just(0.0), st.floats(0.2, 1.5))
-    A = np.array(draw(st.lists(st.lists(weight, min_size=J, max_size=J), min_size=L, max_size=L)))
-    assume(np.all(A.sum(axis=0) > 0) and np.all(A.sum(axis=1) > 0))
-    assume(np.linalg.matrix_rank(A, tol=1e-9) == L)
-    return CapacityPolytope(A)
-
-
 def _check_rate_properties(q, poly, sigma):
     assert np.all(poly.matrix @ sigma <= 1.0 + 1e-12)
     np.testing.assert_array_equal(sigma == 0.0, q == 0)
@@ -213,6 +202,20 @@ def test_rates_above_tilt_threshold_match_separate_passes(poly, data):
         down[j] -= 1
         assert sigma[j] == pytest.approx(math.exp(log_norm_const(down, poly) - base), rel=1e-11)
     _check_rate_properties(q, poly, sigma)
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly=polytopes(min_queues=2, max_queues=3), data=st.data())
+def test_tilted_pass_matches_untilted_box(poly, data):
+    # totals just above the threshold are tilted by the fair rates at Q; the
+    # box sweep never tilts, so the two agree only if the tilt is undone
+    J = poly.n_queues
+    q = np.array(data.draw(st.lists(st.integers(0, 3), min_size=J, max_size=J)))
+    big = data.draw(st.integers(0, J - 1))
+    q[big] = _TILT_THRESHOLD + 1 - (q.sum() - q[big]) + data.draw(st.integers(0, 8))
+    assert q.sum() > _TILT_THRESHOLD
+    box = norm_const_table(poly, q + 1)[tuple(q)]
+    assert log_norm_const(q, poly) == pytest.approx(math.log(box), rel=1e-11)
 
 
 def test_neighbours_fill_the_cache():

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from switchnet.model import CapacityPolytope, enumerate_schedules
 from switchnet.normconst import NormConstCache
+from switchnet.presets import load_example
 from switchnet.propfair import (
     InfeasibleTargetError,
     ScheduleDistribution,
@@ -13,6 +16,8 @@ from switchnet.propfair import (
     solve_prop_fair,
 )
 from switchnet.storeforward import store_forward_rates
+
+from strategies import perfect_graphs, polytopes
 
 
 def test_shared_pool_solution():
@@ -87,11 +92,82 @@ def test_scale_invariance_of_rates():
     np.testing.assert_allclose(scaled.prices, 10 * np.asarray(base.prices), rtol=1e-5)
 
 
-def test_warm_start_agrees(cycle4):
-    _, poly, _ = cycle4
-    cold = solve_prop_fair([4, 2, 3, 1], poly)
-    warm = solve_prop_fair([4, 2, 3, 1], poly, warm_prices=cold.prices)
-    np.testing.assert_allclose(cold.rates, warm.rates, atol=1e-8)
+# -------------------- solver properties --------------------
+
+
+def _check_solution(q, poly, sol):
+    assert sol.converged
+    assert sol.kkt_residual <= 1e-8
+    assert np.all(poly.matrix @ sol.rates <= 1.0 + 1e-12)
+    assert np.all(sol.prices >= 0.0)
+    np.testing.assert_array_equal(sol.rates == 0.0, q == 0)
+
+
+queue_lengths = st.one_of(st.just(0), st.integers(1, 12), st.integers(13, 5000))
+
+
+@settings(max_examples=200, deadline=None)
+@given(poly=polytopes(), data=st.data())
+def test_solver_kkt_on_random_polytopes(poly, data):
+    J = poly.n_queues
+    q = np.array(data.draw(st.lists(queue_lengths, min_size=J, max_size=J)))
+    assume(q.any())
+    _check_solution(q, poly, solve_prop_fair(q, poly))
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph=perfect_graphs(), data=st.data())
+def test_solver_lottery_on_perfect_graphs(graph, data):
+    g, poly = graph
+    q = np.array(data.draw(st.lists(queue_lengths, min_size=g.n, max_size=g.n)))
+    assume(q.any())
+    sol = solve_prop_fair(q, poly)
+    _check_solution(q, poly, sol)
+    dist = decompose_mean(sol.rates, enumerate_schedules(g))
+    np.testing.assert_allclose(dist.mean, sol.rates, rtol=0, atol=1e-9)
+
+
+# states that are hard for an interior-point method, with their exact optima
+HARD_CASES = [
+    # a starved queue at rate 1/16 next to an empty one
+    ("cycle4", [8, 1, 7, 0], [15 / 16, 1 / 16, 15 / 16, 0]),
+    # a pool tight at zero price: the interior point alone is ~1e-6 off
+    ("tri-grid", [3, 4, 3, 3, 3], [3 / 8, 1 / 4, 3 / 8, 3 / 8, 3 / 8]),
+    # the Newton matrix reaches condition ~1e13 before the KKT measure is 1e-12
+    ("grid3x3", [7, 8, 4, 4, 1, 11, 7, 3, 6],
+     [18 / 37, 19 / 37, 18 / 37, 1 / 2, 18 / 37, 19 / 37, 1 / 2, 1 / 2, 18 / 37]),
+    # tight pools that are linearly dependent, two of them at zero price
+    ("grid3x3", [0, 0, 2, 0, 1, 2, 0, 2, 1], [0, 0, 1 / 2, 0, 1 / 2, 1 / 2, 0, 1 / 2, 1 / 2]),
+    ("cycle4", [2, 1, 1, 2], [1 / 2, 1 / 2, 1 / 2, 1 / 2]),
+]
+
+
+@pytest.mark.parametrize("name,q,expected", HARD_CASES)
+def test_solver_hard_cases(name, q, expected):
+    ex = load_example(name)
+    q = np.array(q)
+    sol = solve_prop_fair(q, ex.polytope)
+    _check_solution(q, ex.polytope, sol)
+    assert sol.kkt_residual <= 1e-12
+    np.testing.assert_allclose(sol.rates, expected, rtol=0, atol=1e-12)
+    dist = decompose_mean(sol.rates, ex.schedules())
+    np.testing.assert_allclose(dist.mean, sol.rates, rtol=0, atol=1e-9)
+
+
+def test_solver_queue_alone_in_its_pool():
+    # queue 0 is served by pool 0 alone, at rate 1 / A_00 at the optimum; a
+    # Newton step on Q_j / s_j = (A^T p)_j rather than its bilinear form
+    # jumps back from that boundary and cycles
+    A = np.array([
+        [0.5530695500655437, 0.0, 0.0],
+        [0.0, 1.1856473069259483, 0.8305520528859127],
+        [0.0, 0.8279155966167937, 0.6880683155487857],
+    ])
+    poly = CapacityPolytope(A)
+    q = np.array([134, 161, 183])
+    sol = solve_prop_fair(q, poly)
+    _check_solution(q, poly, sol)
+    assert sol.rates[0] == pytest.approx(1.0 / A[0, 0], rel=1e-12)
 
 
 def test_gap_shared_pool_is_zero():

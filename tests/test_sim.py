@@ -1,12 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from switchnet import sim
 from switchnet.metrics import SimConfig, collect_joint
-from switchnet.model import CapacityPolytope, NetworkSpec, Route, compute_loads
+from switchnet.model import CapacityPolytope, NetworkSpec, Route, compute_loads, enumerate_schedules
 from switchnet.presets import load_example, scaled_rates
-from switchnet.propfair import decompose_mean
+from switchnet.propfair import decompose_mean, solve_prop_fair
 from switchnet.sim import (
-    _warm_solve,
     simulate_backpressure,
     simulate_prop_sched,
     simulate_store_forward,
@@ -212,21 +214,33 @@ def test_empty_route_queue_never_served(one_edge):
     assert tr.composition_counts[1, 0] == 0
 
 
-def test_prop_sched_bad_warm_start_solves_again_from_cold():
-    # zero warm prices on both pools of queue 3 leave the warm ascent with
+def test_prop_sched_cold_solve_on_cycle4_repro():
+    # a warm start with zero prices on both pools of queue 3 once returned
     # rates [0, 0, 0.5, 1.5e7], which no schedule lottery can reach
     ex = load_example("cycle4")
-    sol = _warm_solve(np.array([0, 0, 1, 1]), ex.polytope, np.array([0.0, 0.0, 2.0, 0.0]))
+    sol = solve_prop_fair(np.array([0, 0, 1, 1]), ex.polytope)
     assert sol.converged
-    np.testing.assert_allclose(sol.rates, [0.0, 0.0, 0.5, 0.5], atol=1e-8)
-    np.testing.assert_allclose(decompose_mean(sol.rates, ex.schedules()).mean, sol.rates, atol=1e-7)
+    np.testing.assert_allclose(sol.rates, [0.0, 0.0, 0.5, 0.5], atol=1e-12)
+    np.testing.assert_allclose(decompose_mean(sol.rates, ex.schedules()).mean, sol.rates, atol=1e-9)
+
+
+def test_prop_sched_rejects_unconverged_solve(cycle4, monkeypatch):
+    spec, poly, g = cycle4
+
+    def short_of_tolerance(Q, polytope):
+        return dataclasses.replace(solve_prop_fair(Q, polytope), converged=False)
+
+    monkeypatch.setattr(sim, "solve_prop_fair", short_of_tolerance)
+    with pytest.raises(RuntimeError, match="KKT residual"):
+        simulate_prop_sched(spec, enumerate_schedules(g), SimConfig(horizon=200, seed=1),
+                            polytope=poly)
 
 
 @pytest.mark.parametrize("load", [0.5, 0.8])
 @pytest.mark.parametrize("name", ["k22", "cycle4", "tri-grid", "grid3x3"])
 def test_prop_sched_multi_pool_presets(name, load):
-    # warm-started solves fail to converge on these networks now and then;
-    # each such slot must fall back to a cold solve rather than raise
+    # every slot's fair allocation must converge and decompose into a
+    # lottery over the network's schedules
     ex = load_example(name)
     spec = scaled_rates(ex, load)
     for seed in range(3):
