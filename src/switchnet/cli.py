@@ -22,7 +22,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,12 +38,11 @@ from .analysis import (
 from .config import (
     ConfigError,
     ExperimentConfig,
-    apply_overrides,
     canonical_json,
     config_hash,
+    load_document,
     parse_config,
 )
-from .metrics import SimConfig
 from .model import NetworkValidationError, compute_loads
 from .presets import list_examples
 from .sim import simulate_backpressure, simulate_prop_sched, simulate_store_forward
@@ -153,23 +152,11 @@ def _run_analyze(cfg: ExperimentConfig) -> ResultBundle:
     )
 
 
-def _sim_config(cfg: ExperimentConfig, seed: int) -> SimConfig:
-    return SimConfig(
-        horizon=cfg.horizon,
-        warmup_fraction=cfg.warmup_fraction,
-        seed=seed,
-        batches=cfg.batches,
-        slot_arrivals=cfg.slot_arrivals,
-        pairs=cfg.pairs,
-        checkpoints=cfg.checkpoints,
-    )
-
-
 def _one_replication(doc_json: str, seed: int):
     """Worker for seed fan-out; rebuilt from the canonical document so
     parallel and sequential runs follow identical code paths."""
     cfg = parse_config(json.loads(doc_json))
-    run = _sim_config(cfg, seed)
+    run = replace(cfg.sim, seed=seed)
     if cfg.engine == "store-forward":
         tr = simulate_store_forward(cfg.spec, cfg.polytope, run, initial=cfg.initial)
     elif cfg.engine == "prop-sched":
@@ -220,7 +207,7 @@ def _run_simulate(cfg: ExperimentConfig) -> ResultBundle:
     summary = {
         "network": cfg.network_name or "inline",
         "engine": cfg.engine,
-        "horizon": cfg.horizon,
+        "horizon": cfg.sim.horizon,
         "replications": per_seed,
     }
     qm = np.array([[s["queue_means"][j] for j in range(cfg.spec.n_queues)]
@@ -274,7 +261,7 @@ def _run_compare(cfg: ExperimentConfig) -> ResultBundle:
     summary = {
         "network": cfg.network_name or "inline",
         "engine": cfg.engine,
-        "horizon": cfg.horizon,
+        "horizon": cfg.sim.horizon,
         "replications": len(reps),
         "max_abs_z": worst,
         "note": "z compares simulated means to closed-form targets; "
@@ -414,15 +401,7 @@ _RUNNERS = {
 def run(config_path: str, kind: str | None = None, overrides=(), seed=None,
         horizon=None, out_dir=None) -> ResultBundle:
     """Load a config document, apply tweaks, and dispatch one experiment."""
-    try:
-        with open(config_path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError("config", f"file not found: {config_path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError("config", f"invalid JSON in {config_path}: {exc}") from None
-    if overrides:
-        doc = apply_overrides(doc, overrides)
+    doc = load_document(config_path, overrides)
     if kind is not None:
         doc["kind"] = kind
     if seed is not None:

@@ -18,12 +18,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .metrics import SimConfig
 from .model import (
     CapacityPolytope,
+    CapExceededError,
     InterferenceGraph,
     NetworkSpec,
     Route,
     cliques_to_polytope,
+    is_perfect,
 )
 from .presets import example_names, load_example
 
@@ -44,7 +47,11 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A fully validated experiment: network, kind, and run settings."""
+    """A fully validated experiment: network, kind, and run settings.
+
+    ``sim`` holds the simulation settings with the seed unset; ``pairs``
+    are the independence experiment's queue pairs.
+    """
 
     kind: str
     spec: NetworkSpec
@@ -53,14 +60,10 @@ class ExperimentConfig:
     network_name: str | None
     seeds: tuple[int, ...]
     out_dir: str | None
+    sim: SimConfig
     engine: str = "store-forward"
-    horizon: float = 10_000.0
-    warmup_fraction: float = 0.2
-    batches: int = 20
-    slot_arrivals: str = "poisson"
     initial: tuple[int, ...] | None = None
     pairs: tuple[tuple[int, int], ...] = ()
-    checkpoints: int = 0
     samples: int = 100_000
     queue_vector: tuple[int, ...] | None = None
     scales: tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
@@ -231,23 +234,32 @@ def parse_config(doc: dict) -> ExperimentConfig:
     engine = _expect(sim, "engine", str, "sim", required=False, default="store-forward")
     if engine not in ENGINES:
         raise ConfigError("sim.engine", f"unknown engine {engine!r}; expected one of {', '.join(ENGINES)}")
-    horizon = float(_number(sim, "horizon", "sim", required=False, default=10_000.0, positive=True))
-    warmup = float(_number(sim, "warmup_fraction", "sim", required=False, default=0.2))
-    batches = _expect(sim, "batches", int, "sim", required=False, default=20)
-    slot_arrivals = _expect(sim, "slot_arrivals", str, "sim", required=False, default="poisson")
-    checkpoints = _expect(sim, "checkpoints", int, "sim", required=False, default=0)
+    horizon = _number(sim, "horizon", "sim", required=False, default=10_000.0, positive=True)
+    settings = {
+        "horizon": float(horizon),
+        "pairs": _parse_pairs(sim.get("pairs", []), spec.n_queues, "sim.pairs"),
+    }
+    if "warmup_fraction" in sim:
+        settings["warmup_fraction"] = float(_number(sim, "warmup_fraction", "sim"))
+    for key, types in (("batches", int), ("slot_arrivals", str), ("checkpoints", int)):
+        if key in sim:
+            settings[key] = _expect(sim, key, types, "sim")
+    try:
+        run = SimConfig(**settings)
+    except ValueError as exc:
+        raise ConfigError("sim", str(exc)) from None
     initial = sim.get("initial")
     if initial is not None:
         if (not isinstance(initial, list) or len(initial) != spec.n_queues
                 or not all(isinstance(x, int) and not isinstance(x, bool) and x >= 0 for x in initial)):
             raise ConfigError("sim.initial", f"expected {spec.n_queues} nonnegative integers")
         initial = tuple(initial)
-    pairs = _parse_pairs(sim.get("pairs", []), spec.n_queues, "sim.pairs")
 
     ind = doc.get("independence", {})
     if not isinstance(ind, dict):
         raise ConfigError("independence", "expected an object")
     samples = _expect(ind, "samples", int, "independence", required=False, default=100_000)
+    pairs = ()
     if kind == "independence":
         if "pairs" not in ind:
             raise ConfigError("independence.pairs", "required field is missing")
@@ -289,6 +301,17 @@ def parse_config(doc: dict) -> ExperimentConfig:
             spec.schedule_list()
         except Exception as exc:
             raise ConfigError("sim.engine", f"{engine} needs enumerable schedules: {exc}") from None
+        if engine == "prop-sched" and graph is not None:
+            try:
+                perfect = is_perfect(graph)
+            except CapExceededError:
+                perfect = True  # above the perfection test's size cap: accepted untested
+            if not perfect:
+                raise ConfigError(
+                    "sim.engine",
+                    "prop-sched needs a perfect interference graph: on this one the "
+                    "fair rates can lie outside the hull of the schedules",
+                )
     if poly is None and not (kind == "simulate" and engine == "backpressure"):
         raise ConfigError(
             "network.capacity",
@@ -298,10 +321,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
     return ExperimentConfig(
         kind=kind, spec=spec, polytope=poly, graph=graph, network_name=name,
-        seeds=seeds, out_dir=out_dir, engine=engine, horizon=horizon,
-        warmup_fraction=warmup, batches=batches, slot_arrivals=slot_arrivals,
-        initial=initial, pairs=pairs, checkpoints=checkpoints, samples=samples,
-        queue_vector=queue_vector, scales=scales, checks=checks, document=doc,
+        seeds=seeds, out_dir=out_dir, sim=run, engine=engine, initial=initial,
+        pairs=pairs, samples=samples, queue_vector=queue_vector, scales=scales,
+        checks=checks, document=doc,
     )
 
 
@@ -333,7 +355,8 @@ def apply_overrides(doc: dict, overrides) -> dict:
     return out
 
 
-def load_config(path: str, overrides=None) -> ExperimentConfig:
+def load_document(path: str, overrides=None) -> dict:
+    """Read a JSON experiment document and apply dotted-path overrides."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -341,6 +364,8 @@ def load_config(path: str, overrides=None) -> ExperimentConfig:
         raise ConfigError("config", f"file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"invalid JSON in {path}: {exc}") from None
-    if overrides:
-        doc = apply_overrides(doc, overrides)
-    return parse_config(doc)
+    return apply_overrides(doc, overrides) if overrides else doc
+
+
+def load_config(path: str, overrides=None) -> ExperimentConfig:
+    return parse_config(load_document(path, overrides))

@@ -10,7 +10,6 @@ list of integer schedules.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,8 +112,6 @@ class CapacityPolytope:
             raise NetworkValidationError(
                 f"queues {dead} belong to no pool (zero column in pool matrix)"
             )
-        if np.linalg.matrix_rank(a, tol=1e-9) < a.shape[0]:
-            warnings.warn("pool matrix is not full row rank", stacklevel=2)
         a.setflags(write=False)
         object.__setattr__(self, "matrix", a)
         labels = self.pool_labels

@@ -322,37 +322,39 @@ def norm_const(Q, polytope: CapacityPolytope, cache: NormConstCache | None = Non
 
 
 def norm_const_table(polytope: CapacityPolytope, shape) -> np.ndarray:
-    """Phi over an entire box of queue vectors in one convolution sweep.
+    """Phi over an entire box of queue vectors by Buzen's convolution
+    recursion (Buzen 1973).
 
-    ``shape[j]`` is the number of values (Q_j from 0 to shape[j]-1).  Linear
-    scale, intended for small verification boxes.
+    Pool l's generating function is 1 / (1 - sum_j A_lj x_j), so with G_0
+    the unit table at Q = 0 and G_l the product over the first l pools,
+    G_l(Q) = G_{l-1}(Q) + sum_j A_lj G_l(Q - e_j).  Each pool fills its
+    table one level of sum_{j in pool} Q_j at a time.  ``shape[j]`` is the
+    number of values (Q_j from 0 to shape[j]-1).  Linear scale, intended
+    for small verification boxes.
     """
     A = polytope.matrix
     J = A.shape[1]
     shape = tuple(int(s) for s in shape)
     if len(shape) != J:
         raise ValueError("shape must give one extent per queue")
-    if int(np.prod(shape, dtype=np.int64)) > _MAX_TABLE_CELLS:
+    size = int(np.prod(shape, dtype=np.int64))
+    if size > _MAX_TABLE_CELLS:
         raise CapExceededError("verification box too large")
-    table = np.zeros(shape)
-    table[(0,) * J] = 1.0
+    index = [g.ravel() for g in np.indices(shape)]
+    stride = [int(np.prod(shape[j + 1:], dtype=np.int64)) for j in range(J)]
+    table = np.zeros(size)
+    table[0] = 1.0
     for l in range(A.shape[0]):
         members = [j for j in range(J) if A[l, j] > 0 and shape[j] > 1]
         if not members:
             continue
-        sizes = [shape[j] for j in members]
-        counts = np.ix_(*[np.arange(s) for s in sizes])
-        klin = np.exp(_log_kernel(counts, [math.log(A[l, j]) for j in members], 0, 0.0))
-        out = np.zeros(shape)
-        for u in itertools.product(*[range(s) for s in sizes]):
-            dst = [slice(None)] * J
-            src = [slice(None)] * J
-            for t, j in enumerate(members):
-                dst[j] = slice(u[t], shape[j])
-                src[j] = slice(0, shape[j] - u[t])
-            out[tuple(dst)] += klin[u] * table[tuple(src)]
-        table = out
-    return table
+        level = sum(index[j] for j in members)
+        for k in range(1, int(level.max()) + 1):
+            cells = np.flatnonzero(level == k)
+            for j in members:
+                c = cells[index[j][cells] > 0]
+                table[c] += A[l, j] * table[c - stride[j]]
+    return table.reshape(shape)
 
 
 # -------------------- independent brute force --------------------

@@ -10,7 +10,6 @@ closed-form answers (tandem line, shared pool).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,14 +61,8 @@ def _from_matrix(name, desc, matrix, routes, labels=None, notes=""):
 
 def _from_graph(name, desc, n, edges, routes, notes=""):
     g = InterferenceGraph.from_edges(n, edges)
-    with warnings.catch_warnings():
-        # catalogue clique matrices are audited; several are structurally
-        # rank deficient (even cycles) and the advisory adds no signal here
-        warnings.filterwarnings(
-            "ignore", "pool matrix is not full row rank", UserWarning
-        )
-        poly = cliques_to_polytope(g)
-        spec = NetworkSpec(n_queues=n, routes=routes, capacity=g)
+    poly = cliques_to_polytope(g)
+    spec = NetworkSpec(n_queues=n, routes=routes, capacity=g)
     return ExamplePreset(
         name, desc, spec, poly, graph=g, perfect=is_perfect(g), notes=notes
     )

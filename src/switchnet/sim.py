@@ -14,7 +14,7 @@ from collections import deque
 import numpy as np
 
 from .metrics import JOINT_CAP, SimConfig, TraceMetrics, batch_se
-from .model import CapacityPolytope, NetworkSpec, compute_loads
+from .model import CapacityPolytope, NetworkSpec, NetworkValidationError, compute_loads
 from .normconst import NormConstCache
 from .propfair import decompose_mean, solve_prop_fair
 from .storeforward import store_forward_rates
@@ -26,59 +26,52 @@ def _route_maps(spec: NetworkSpec):
     """first hop per route, and next_hop[r][j] = queue after j on route r
     (-1 when j is the last hop)."""
     first = [r.path[0] for r in spec.routes]
-    nxt = []
-    for r in spec.routes:
-        m = {}
-        for i, j in enumerate(r.path):
-            m[j] = r.path[i + 1] if i + 1 < len(r.path) else -1
-        nxt.append(m)
+    nxt = [dict(zip(r.path, r.path[1:] + (-1,))) for r in spec.routes]
     return first, nxt
 
 
-def _routes_through(spec: NetworkSpec):
-    through = [[] for _ in range(spec.n_queues)]
-    for i, r in enumerate(spec.routes):
-        for j in r.path:
-            through[j].append(i)
-    return through
-
-
-def _initial_fill(spec, initial, rng):
-    """Route labels for a prescribed starting occupancy.  Labels are drawn
-    with probability proportional to route rate among routes through the
-    queue, matching the stationary composition."""
+def _initial_state(spec: NetworkSpec, initial, rng):
+    """Per-queue FIFOs of (route, arrival time) and per-(queue, route)
+    counts for a prescribed starting occupancy.  Labels are drawn with
+    probability proportional to route rate among routes through the queue,
+    matching the stationary composition; starting packets arrive at -1."""
+    J = spec.n_queues
+    fifo = [deque() for _ in range(J)]
+    X = np.zeros((J, spec.n_routes), dtype=np.int64)
     if initial is None:
-        return [[] for _ in range(spec.n_queues)], 0
+        return fifo, X
     init = np.asarray(initial, dtype=np.int64)
-    if init.shape != (spec.n_queues,) or np.any(init < 0):
+    if init.shape != (J,) or np.any(init < 0):
         raise ValueError("initial occupancy must be a nonnegative vector per queue")
-    through = _routes_through(spec)
     rates = spec.rates()
-    fill = []
-    for j in range(spec.n_queues):
-        if init[j] > 0 and not through[j]:
-            raise ValueError(f"queue {j} has initial packets but no route serves it")
+    for j in range(J):
         if init[j] == 0:
-            fill.append([])
             continue
-        ids = through[j]
-        w = rates[ids] / rates[ids].sum()
-        picks = rng.choice(len(ids), size=int(init[j]), p=w)
-        fill.append([ids[k] for k in picks])
-    return fill, int(init.sum())
+        ids = [i for i, r in enumerate(spec.routes) if j in r.path]
+        if not ids:
+            raise ValueError(f"queue {j} has initial packets but no route serves it")
+        for k in rng.choice(len(ids), size=int(init[j]), p=rates[ids] / rates[ids].sum()):
+            fifo[j].append((ids[k], -1.0))
+            X[j, ids[k]] += 1
+    return fifo, X
 
 
 class _Collector:
     """Batch accumulators shared by the three simulators."""
 
-    def __init__(self, n_queues, n_routes, cfg: SimConfig, horizon, warm):
+    def __init__(self, spec: NetworkSpec, cfg: SimConfig, horizon, warm):
+        n_queues, n_routes = spec.n_queues, spec.n_routes
+        self.seed = cfg.seed
+        self.route_ids = tuple(r.id for r in spec.routes)
         self.B = cfg.batches
         self.warm = warm
         self.horizon = horizon
         self.span = (horizon - warm) / cfg.batches
-        self.qint = np.zeros((cfg.batches, n_queues))
-        self.cint = np.zeros((cfg.batches, n_routes))
-        self.mass = np.zeros(cfg.batches)
+        # per-batch time integrals as plain floats: the loops add to them one
+        # element at a time, which numpy rows make several times slower
+        self.qint = [[0.0] * n_queues for _ in range(cfg.batches)]
+        self.cint = [[0.0] * n_routes for _ in range(cfg.batches)]
+        self.mass = [0.0] * cfg.batches
         self.soj_sum = np.zeros((cfg.batches, n_routes))
         self.soj_cnt = np.zeros((cfg.batches, n_routes), dtype=np.int64)
         self.comp = np.zeros((n_queues, n_routes), dtype=np.int64)
@@ -86,53 +79,58 @@ class _Collector:
             (int(a), int(b)): np.zeros((JOINT_CAP + 1, JOINT_CAP + 1))
             for a, b in cfg.pairs
         }
+        self.pair_items = list(self.pair_hists.items())
 
     def batch_of(self, t):
         return min(int((t - self.warm) / self.span), self.B - 1)
+
+    def add(self, b, seg, Q, content):
+        """Credit seg units of time in state (Q, content) to batch b."""
+        self.mass[b] += seg
+        row = self.qint[b]
+        for j, q in enumerate(Q):
+            row[j] += q * seg
+        row = self.cint[b]
+        for r, c in enumerate(content):
+            row[r] += c * seg
+        for (pa, pb), H in self.pair_items:
+            qa, qb = Q[pa], Q[pb]
+            H[qa if qa < JOINT_CAP else JOINT_CAP, qb if qb < JOINT_CAP else JOINT_CAP] += seg
 
     def sojourn(self, t_dep, route, value):
         b = self.batch_of(t_dep)
         self.soj_sum[b, route] += value
         self.soj_cnt[b, route] += 1
 
-    def finalize(self, kind, cfg, seed, route_ids, admitted, departed, in_system,
-                 transient, checkpoints):
-        denom = np.maximum(self.soj_cnt.sum(axis=0), 1)
-        soj_mean = np.where(
-            self.soj_cnt.sum(axis=0) > 0, self.soj_sum.sum(axis=0) / denom, np.nan
-        )
-        soj_se = np.empty(len(route_ids))
-        for r in range(len(route_ids)):
-            with np.errstate(invalid="ignore"):
-                bm = np.where(
-                    self.soj_cnt[:, r] > 0,
-                    self.soj_sum[:, r] / np.maximum(self.soj_cnt[:, r], 1),
-                    np.nan,
-                )
-            soj_se[r] = batch_se(bm)
-        mass = np.where(self.mass > 0, self.mass, np.nan)
+    def finalize(self, kind, admitted, departed, in_system, transient, checkpoints):
+        cnt = self.soj_cnt.sum(axis=0)
+        soj_mean = np.where(cnt > 0, self.soj_sum.sum(axis=0) / np.maximum(cnt, 1), np.nan)
+        sbm = np.where(self.soj_cnt > 0, self.soj_sum / np.maximum(self.soj_cnt, 1), np.nan)
+        soj_se = np.array([batch_se(sbm[:, r]) for r in range(sbm.shape[1])])
+        qint, cint, mass = np.array(self.qint), np.array(self.cint), np.array(self.mass)
+        mass = np.where(mass > 0, mass, np.nan)
         total = float(np.nansum(mass))
         with np.errstate(invalid="ignore"):
-            qbm = self.qint / mass[:, None]
-            cbm = self.cint / mass[:, None]
+            qbm = qint / mass[:, None]
+            cbm = cint / mass[:, None]
         if total > 0:
-            q_mean = self.qint.sum(axis=0) / total
-            c_mean = self.cint.sum(axis=0) / total
+            q_mean = qint.sum(axis=0) / total
+            c_mean = cint.sum(axis=0) / total
         else:
-            q_mean = np.zeros(self.qint.shape[1])
-            c_mean = np.zeros(self.cint.shape[1])
+            q_mean = np.zeros(qint.shape[1])
+            c_mean = np.zeros(cint.shape[1])
         return TraceMetrics(
             kind=kind,
             horizon=self.horizon,
             warmup=self.warm,
-            seed=seed,
+            seed=self.seed,
             queue_means=q_mean,
             queue_ses=np.array([batch_se(qbm[:, j]) for j in range(qbm.shape[1])]),
             queue_batch_means=qbm,
-            route_ids=route_ids,
+            route_ids=self.route_ids,
             sojourn_means=soj_mean,
             sojourn_ses=soj_se,
-            sojourn_counts=self.soj_cnt.sum(axis=0),
+            sojourn_counts=cnt,
             composition_counts=self.comp,
             route_content_means=c_mean,
             route_content_ses=np.array(
@@ -173,28 +171,22 @@ def simulate_store_forward(
     arr_total = float(rates.sum())
     arr_cum = np.cumsum(rates).tolist()
     A = polytope.matrix
-    caps = []
-    for j in range(J):
-        col = A[:, j]
-        caps.append(float(1.0 / col[col > 0].max()))
+    caps = [float(1.0 / A[A[:, j] > 0, j].max()) for j in range(J)]
     lam = arr_total + sum(caps)
     horizon = float(cfg.horizon)
     warm = cfg.warmup_fraction * horizon
-    col = _Collector(J, R, cfg, horizon, warm)
+    col = _Collector(spec, cfg, horizon, warm)
     first, nxt = _route_maps(spec)
     rng = np.random.default_rng(cfg.seed)
     if phi_cache is None:
         phi_cache = NormConstCache(polytope)
 
-    fill, n_init = _initial_fill(spec, initial, rng)
-    fifo = [deque((r, -1.0) for r in fill[j]) for j in range(J)]
-    Q = [len(f) for f in fifo]
-    content = [0.0] * R
-    for j in range(J):
-        for r in fill[j]:
-            content[r] += 1.0
-    admitted = n_init
+    fifo, X = _initial_state(spec, initial, rng)
+    Q = X.sum(axis=1).tolist()
+    content = X.sum(axis=0).astype(float).tolist()
+    admitted = int(X.sum())
     departed = 0
+    X = X.tolist()
 
     sig_cache: dict = {}
     qkey = tuple(Q)
@@ -207,23 +199,13 @@ def simulate_store_forward(
             sig_cache[key] = e
         return e
 
-    cp_times = (
-        list(np.linspace(warm, horizon, cfg.checkpoints + 1)[1:])
-        if cfg.checkpoints
-        else []
-    )
-    cp_iter = iter(cp_times)
+    cp_iter = iter(np.linspace(warm, horizon, cfg.checkpoints + 1)[1:])
     next_cp = next(cp_iter, None)
     checkpoints = []
-    X = [[0] * R for _ in range(J)]
-    for j in range(J):
-        for r in fill[j]:
-            X[j][r] += 1
 
     exp_blk = rng.exponential(1.0, _BLOCK)
     uni_blk = rng.random(_BLOCK)
     ei = ui = 0
-    pair_items = list(col.pair_hists.items())
     span, B = col.span, col.B
 
     t = 0.0
@@ -238,22 +220,11 @@ def simulate_store_forward(
         lo = t if t > warm else warm
         hi = t_new if t_new < horizon else horizon
         if hi > lo:
-            b = min(int((lo - warm) / span), B - 1)
+            b = col.batch_of(lo)
             while lo < hi:
                 edge = horizon if b == B - 1 else warm + (b + 1) * span
                 seg_end = hi if hi < edge else edge
-                seg = seg_end - lo
-                col.mass[b] += seg
-                row = col.qint[b]
-                for j in range(J):
-                    row[j] += Q[j] * seg
-                crow = col.cint[b]
-                for r in range(R):
-                    crow[r] += content[r] * seg
-                for (pa, pb), H in pair_items:
-                    qa = Q[pa] if Q[pa] < JOINT_CAP else JOINT_CAP
-                    qb = Q[pb] if Q[pb] < JOINT_CAP else JOINT_CAP
-                    H[qa, qb] += seg
+                col.add(b, seg_end - lo, Q, content)
                 lo = seg_end
                 if b < B - 1:
                     b += 1
@@ -310,10 +281,7 @@ def simulate_store_forward(
                     qkey = tuple(Q)
             # otherwise a phantom event: state unchanged
 
-    return col.finalize(
-        "store-forward", cfg, cfg.seed, tuple(r.id for r in spec.routes),
-        admitted, departed, sum(Q), transient, checkpoints,
-    )
+    return col.finalize("store-forward", admitted, departed, sum(Q), transient, checkpoints)
 
 
 def _slot_arrivals(rng, rates, mode):
@@ -325,43 +293,25 @@ def _slot_arrivals(rng, rates, mode):
 def _slotted_run(spec, cfg, serve_fn, kind, initial, transient):
     """Common slot loop: arrivals, policy-specific service, collection.
 
-    serve_fn(slot, fifo, Q, X) serves packets in place and returns a list
-    of (queue, route, n_served) actions it took.
+    serve_fn(rng, Q, X, fifo) takes the packets it serves off the queue
+    FIFOs of (route, arrival slot) and returns a list of
+    (queue, route, arrival slots) actions it took.
     """
-    J, R = spec.n_queues, spec.n_routes
+    R = spec.n_routes
     rates = spec.rates()
     horizon = int(cfg.horizon)
     warm_slots = int(cfg.warmup_fraction * horizon)
-    col = _Collector(J, R, cfg, float(horizon), float(warm_slots))
+    col = _Collector(spec, cfg, float(horizon), float(warm_slots))
     col.span = max((horizon - warm_slots) / cfg.batches, 1e-12)
     first, nxt = _route_maps(spec)
     rng = np.random.default_rng(cfg.seed)
-    fill, n_init = _initial_fill(spec, initial, rng)
-    # per (queue, route) FIFO of network arrival slots
-    fifo = [[deque() for _ in range(R)] for _ in range(J)]
-    order = [deque() for _ in range(J)]  # route ids in queue FIFO order
-    for j in range(J):
-        for r in fill[j]:
-            fifo[j][r].append(-1)
-            order[j].append(r)
-    Q = np.array([len(order[j]) for j in range(J)], dtype=np.int64)
-    X = np.zeros((J, R), dtype=np.int64)
-    for j in range(J):
-        for r in fill[j]:
-            X[j, r] += 1
-    content = X.sum(axis=0).astype(float)
-    admitted = n_init
+    fifo, X = _initial_state(spec, initial, rng)
+    Q = X.sum(axis=1).tolist()
+    content = X.sum(axis=0).astype(float).tolist()
+    admitted = int(X.sum())
     departed = 0
-    cp_slots = (
-        set(
-            int(v)
-            for v in np.linspace(warm_slots, horizon - 1, cfg.checkpoints)
-        )
-        if cfg.checkpoints
-        else set()
-    )
+    cp_slots = {int(v) for v in np.linspace(warm_slots, horizon - 1, cfg.checkpoints)}
     checkpoints = []
-    pair_items = list(col.pair_hists.items())
 
     for slot in range(horizon):
         counts = _slot_arrivals(rng, rates, cfg.slot_arrivals)
@@ -369,16 +319,13 @@ def _slotted_run(spec, cfg, serve_fn, kind, initial, transient):
             c = int(counts[r])
             if c:
                 j = first[r]
-                for _ in range(c):
-                    fifo[j][r].append(slot)
-                    order[j].append(r)
+                fifo[j].extend([(r, slot)] * c)
                 Q[j] += c
                 X[j, r] += c
                 content[r] += c
                 admitted += c
-        if Q.any():
-            actions = serve_fn(slot, rng, Q, X, order, fifo)
-            for j, r, arr_slots in actions:
+        if any(Q):
+            for j, r, arr_slots in serve_fn(rng, Q, X, fifo):
                 n = len(arr_slots)
                 Q[j] -= n
                 X[j, r] -= n
@@ -386,9 +333,7 @@ def _slotted_run(spec, cfg, serve_fn, kind, initial, transient):
                     col.comp[j, r] += n
                 k = nxt[r][j]
                 if k >= 0:
-                    for a in arr_slots:
-                        fifo[k][r].append(a)
-                        order[k].append(r)
+                    fifo[k].extend((r, a) for a in arr_slots)
                     Q[k] += n
                     X[k, r] += n
                 else:
@@ -398,19 +343,11 @@ def _slotted_run(spec, cfg, serve_fn, kind, initial, transient):
                         if a >= warm_slots:
                             col.sojourn(float(slot), r, float(slot - a + 1))
         if slot >= warm_slots:
-            b = col.batch_of(float(slot))
-            col.mass[b] += 1.0
-            col.qint[b] += Q
-            col.cint[b] += content
-            for (pa, pb), H in pair_items:
-                H[min(Q[pa], JOINT_CAP), min(Q[pb], JOINT_CAP)] += 1.0
+            col.add(col.batch_of(float(slot)), 1.0, Q, content)
         if slot in cp_slots:
-            checkpoints.append((float(slot), Q.copy(), X.copy()))
+            checkpoints.append((float(slot), np.array(Q, dtype=np.int64), X.copy()))
 
-    return col.finalize(
-        kind, cfg, cfg.seed, tuple(r.id for r in spec.routes),
-        admitted, departed, int(Q.sum()), transient, checkpoints,
-    )
+    return col.finalize(kind, admitted, departed, sum(Q), transient, checkpoints)
 
 
 def simulate_prop_sched(
@@ -437,8 +374,8 @@ def simulate_prop_sched(
     loads = compute_loads(spec, polytope)
     dist_cache: dict = {}
 
-    def serve(slot, rng, Q, X, order, fifo):
-        key = tuple(int(v) for v in Q)
+    def serve(rng, Q, X, fifo):
+        key = tuple(Q)
         dist = dist_cache.get(key)
         if dist is None:
             sol = solve_prop_fair(Q, polytope)
@@ -452,15 +389,9 @@ def simulate_prop_sched(
         sched = dist.sample(rng)
         actions = []
         for j in range(len(Q)):
-            n = int(min(sched[j], Q[j]))
-            if n <= 0:
-                continue
-            got = []
-            for _ in range(n):
-                r = order[j].popleft()
-                got.append((r, fifo[j][r].popleft()))
             by_route: dict = {}
-            for r, a in got:
+            for _ in range(min(int(sched[j]), Q[j])):
+                r, a = fifo[j].popleft()
                 by_route.setdefault(r, []).append(a)
             for r in sorted(by_route):
                 actions.append((j, r, by_route[r]))
@@ -497,17 +428,13 @@ def simulate_backpressure(
         for pos, j in enumerate(r.path):
             on_route[j, i] = True
             down[j, i] = r.path[pos + 1] if pos + 1 < len(r.path) else -1
-    if spec.n_routes:
-        loads_admissible = True
-        try:
-            pol = polytope if polytope is not None else spec.capacity_polytope()
-            loads_admissible = compute_loads(spec, pol).admissible
-        except (TypeError, ValueError):
-            pass  # schedule-list capacity: no polytope, skip the flag
-    else:
-        loads_admissible = True
+    try:
+        pol = polytope if polytope is not None else spec.capacity_polytope()
+        transient = not compute_loads(spec, pol).admissible
+    except NetworkValidationError:
+        transient = False  # schedule-list capacity: no polytope, skip the flag
 
-    def serve(slot, rng, Q, X, order, fifo):
+    def serve(rng, Q, X, fifo):
         down_counts = np.where(down >= 0, X[np.maximum(down, 0), np.arange(R)[None, :]], 0)
         diff = np.where(on_route, X - down_counts, np.iinfo(np.int64).min)
         w = np.maximum(diff.max(axis=1, initial=np.iinfo(np.int64).min), 0)
@@ -523,18 +450,15 @@ def simulate_backpressure(
             n = int(min(sched[j], X[j, r]))
             if n <= 0:
                 continue
-            got = [fifo[j][r].popleft() for _ in range(n)]
-            # mirror the removals in the queue-order view
-            removed = 0
-            kept = deque()
-            while order[j]:
-                v = order[j].popleft()
-                if v == r and removed < n:
-                    removed += 1
+            # the n oldest packets of route r leave; the rest keep their order
+            got, kept = [], deque()
+            for p in fifo[j]:
+                if p[0] == r and len(got) < n:
+                    got.append(p[1])
                 else:
-                    kept.append(v)
-            order[j] = kept
+                    kept.append(p)
+            fifo[j] = kept
             actions.append((j, r, got))
         return actions
 
-    return _slotted_run(spec, cfg, serve, "backpressure", initial, not loads_admissible)
+    return _slotted_run(spec, cfg, serve, "backpressure", initial, transient)

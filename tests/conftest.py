@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 
@@ -86,9 +84,7 @@ def merge():
 def cycle4():
     """Interference 4-cycle with single-hop routes, rate 0.3 each."""
     g = InterferenceGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "pool matrix is not full row rank", UserWarning)
-        poly = cliques_to_polytope(g)
+    poly = cliques_to_polytope(g)
     spec = NetworkSpec(
         n_queues=4,
         routes=[Route(id=f"r{j}", path=(j,), rate=0.3) for j in range(4)],

@@ -1,11 +1,10 @@
 """Hypothesis strategies shared by the property tests."""
 
-import warnings
-
 import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
 
+from switchnet.config import ENGINES
 from switchnet.model import CapacityPolytope, InterferenceGraph, cliques_to_polytope, is_perfect
 
 
@@ -33,7 +32,23 @@ def perfect_graphs(draw):
                                                      max_size=len(pairs)))) if keep]
     g = InterferenceGraph.from_edges(n, edges)
     assume(is_perfect(g))
-    with warnings.catch_warnings():
-        # clique matrices of even cycles are rank deficient
-        warnings.filterwarnings("ignore", "pool matrix is not full row rank", UserWarning)
-        return g, cliques_to_polytope(g)
+    return g, cliques_to_polytope(g)
+
+
+@st.composite
+def config_overrides(draw):
+    """A few dotted-path settings for ``apply_overrides``, each valid for a
+    simulation on a perfect catalogue graph with at least two queues."""
+    values = {
+        "sim.horizon": st.one_of(st.integers(1, 10**6), st.floats(1e-3, 1e6)),
+        "sim.warmup_fraction": st.floats(0.0, 0.99),
+        "sim.batches": st.integers(2, 100),
+        "sim.slot_arrivals": st.sampled_from(["poisson", "bernoulli"]),
+        "sim.checkpoints": st.integers(0, 20),
+        "sim.pairs": st.lists(st.permutations([0, 1]), max_size=2),
+        "sim.engine": st.sampled_from(ENGINES),
+        "seeds": st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
+        "network": st.sampled_from(["k22", "cycle4", "one-edge", "tri-grid"]),
+    }
+    keys = draw(st.sets(st.sampled_from(sorted(values)), max_size=len(values)))
+    return {k: draw(values[k]) for k in sorted(keys)}

@@ -192,6 +192,14 @@ def test_main_exit_codes(tmp_path, capsys):
     )
     assert main(["independence", "--config", overload]) == 3
 
+    # a bad sim setting is a config failure, found before any replication runs
+    for key, value in (("batches", 1), ("warmup_fraction", 1.5),
+                       ("slot_arrivals", "uniform"), ("checkpoints", -1)):
+        bad = _write(tmp_path, {"network": "tandem", "sim": {key: value, "horizon": 100}},
+                     name=f"bad-{key}.json")
+        assert main(["simulate", "--config", bad]) == 2
+        assert "error: sim: " in capsys.readouterr().err
+
 
 def test_main_examples_subcommand(capsys):
     assert main(["examples"]) == 0
@@ -221,3 +229,15 @@ def test_simulate_prop_sched_on_cycle4(tmp_path):
     body = (out / "metrics.csv").read_text()
     assert body.startswith("seed,metric,id,value,stderr,n\n")
     assert len(body.splitlines()) > 1
+
+
+def test_prop_sched_rejected_on_imperfect_graph(tmp_path, capsys):
+    # the 5-cycle is not perfect: its fair rates can lie outside the hull of
+    # the schedules, so no lottery reaches them
+    cfg = _write(
+        tmp_path,
+        {"network": "odd-cycle-5", "seeds": [0], "sim": {"engine": "prop-sched", "horizon": 200}},
+    )
+    assert main(["simulate", "--config", cfg]) == 2
+    assert "sim.engine" in capsys.readouterr().err
+    assert main(["simulate", "--config", cfg, "--override", "sim.engine=backpressure"]) == 0

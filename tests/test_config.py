@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings
 
 from switchnet.config import (
     ConfigError,
@@ -9,6 +10,9 @@ from switchnet.config import (
     load_config,
     parse_config,
 )
+from switchnet.metrics import SimConfig
+
+from strategies import config_overrides
 
 
 def _inline_net(**extra):
@@ -124,6 +128,33 @@ def test_prop_sched_needs_schedules():
     assert "sim.engine" in str(exc.value)
 
 
+def test_prop_sched_needs_perfect_graph():
+    doc = {"kind": "compare", "network": "odd-cycle-5", "sim": {"engine": "prop-sched"}}
+    with pytest.raises(ConfigError) as exc:
+        parse_config(doc)
+    assert "sim.engine" in str(exc.value)
+    parse_config(dict(doc, kind="analyze"))  # the engine matters only to simulations
+    parse_config(dict(doc, network="cycle4"))
+    # the 17-cycle is not perfect either, but it is above the perfection
+    # test's size cap, so it is accepted untested
+    n = 17
+    big = {
+        "queues": n,
+        "routes": [{"path": [j], "rate": 0.01} for j in range(n)],
+        "capacity": {"edges": [[j, (j + 1) % n] for j in range(n)]},
+    }
+    assert parse_config(dict(doc, network=big)).engine == "prop-sched"
+
+
+def test_sim_settings_become_one_sim_config():
+    cfg = parse_config(_inline_net(sim={"horizon": 50, "batches": 7, "pairs": [[1, 0]]}))
+    assert cfg.sim == SimConfig(horizon=50.0, batches=7, pairs=((1, 0),))
+    assert cfg.pairs == ()  # independence pairs are a separate field
+    with pytest.raises(ConfigError) as exc:
+        parse_config(_inline_net(sim={"batches": 1}))
+    assert exc.value.path == "sim"
+
+
 def test_initial_length_checked():
     doc = _inline_net(kind="simulate", sim={"initial": [1, 2, 3]})
     with pytest.raises(ConfigError):
@@ -137,6 +168,31 @@ def test_overrides_dotted_paths():
     assert out["network"] == "merge"
     assert out["seeds"] == [1, 2]
     assert doc.get("sim") is None  # original untouched
+
+
+def _overridable(cfg):
+    return {
+        "sim.horizon": cfg.sim.horizon,
+        "sim.warmup_fraction": cfg.sim.warmup_fraction,
+        "sim.batches": cfg.sim.batches,
+        "sim.slot_arrivals": cfg.sim.slot_arrivals,
+        "sim.checkpoints": cfg.sim.checkpoints,
+        "sim.pairs": [list(p) for p in cfg.sim.pairs],
+        "sim.engine": cfg.engine,
+        "seeds": list(cfg.seeds),
+        "network": cfg.network_name,
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=config_overrides())
+def test_overrides_round_trip(values):
+    doc = {"kind": "simulate", "network": "k22", "seeds": [3], "sim": {"horizon": 10}}
+    items = [f"{key}={json.dumps(value)}" for key, value in values.items()]
+    got = _overridable(parse_config(apply_overrides(doc, items)))
+    base = _overridable(parse_config(doc))
+    for key in got:
+        assert got[key] == values.get(key, base[key]), key
 
 
 def test_override_must_have_equals():
@@ -156,7 +212,7 @@ def test_load_config_round_trip(tmp_path):
     path = tmp_path / "exp.json"
     path.write_text(json.dumps(_inline_net(seeds=[5])))
     cfg = load_config(str(path), overrides=["sim.horizon=123"])
-    assert cfg.horizon == 123
+    assert cfg.sim.horizon == 123
     with pytest.raises(ConfigError):
         load_config(str(tmp_path / "absent.json"))
     bad = tmp_path / "bad.json"

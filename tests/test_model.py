@@ -51,8 +51,9 @@ def test_polytope_validation():
         CapacityPolytope(np.array([[1.0, -0.5]]))
     with pytest.raises(NetworkValidationError):
         CapacityPolytope(np.array([[1.0, 0.0], [1.0, 0.0]]))  # queue 1 in no pool
-    with pytest.warns(UserWarning):
-        CapacityPolytope(np.array([[1.0, 1.0], [2.0, 2.0]]))  # rank deficient
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        CapacityPolytope(np.array([[1.0, 1.0], [2.0, 2.0]]))  # rank deficient is valid
 
 
 def test_loads_single_pool(single_pool):
@@ -107,9 +108,7 @@ def test_loads_dimension_mismatch(single_pool):
 
 def test_cliques_four_cycle():
     g = InterferenceGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        poly = cliques_to_polytope(g)
+    poly = cliques_to_polytope(g)
     assert poly.matrix.shape == (4, 4)
     rows = {tuple(r) for r in poly.matrix.astype(int)}
     assert rows == {(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1)}
@@ -118,9 +117,7 @@ def test_cliques_four_cycle():
 def test_cliques_complete_bipartite():
     # K_{2,2}: parts {0, 3} and {1, 2}; its cliques are the 4 edges.
     g = InterferenceGraph.from_edges(4, [(0, 1), (0, 2), (3, 1), (3, 2)])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        poly = cliques_to_polytope(g)
+    poly = cliques_to_polytope(g)
     assert poly.n_pools == 4
     assert np.all(poly.matrix.sum(axis=1) == 2)
 

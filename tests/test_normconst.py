@@ -218,6 +218,42 @@ def test_tilted_pass_matches_untilted_box(poly, data):
     assert log_norm_const(q, poly) == pytest.approx(math.log(box), rel=1e-11)
 
 
+def _draw_queue_vector(data, J):
+    # up to 12 per queue, or one queue above the tilt threshold and the rest at
+    # most 3, as in the tilt tests above (larger ones reach the pass's cell cap)
+    lifted = data.draw(st.booleans())
+    q = np.array(data.draw(st.lists(st.integers(0, 3 if lifted else 12), min_size=J, max_size=J)))
+    if lifted:
+        q[data.draw(st.integers(0, J - 1))] = data.draw(
+            st.integers(_TILT_THRESHOLD + 1, _TILT_THRESHOLD + 40))
+    return q
+
+
+@settings(max_examples=100, deadline=None)
+@given(poly=polytopes(), data=st.data())
+def test_phi_invariant_under_pool_relabeling(poly, data):
+    # the frontier plan follows the pool order, so permuted pools take a
+    # different contraction schedule to the same value
+    q = _draw_queue_vector(data, poly.n_queues)
+    perm = data.draw(st.permutations(range(poly.n_pools)))
+    moved = CapacityPolytope(poly.matrix[list(perm)])
+    assert log_norm_const(q, moved) == pytest.approx(log_norm_const(q, poly), rel=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(poly=polytopes(), data=st.data())
+def test_phi_moves_with_permuted_queues(poly, data):
+    # relabeling queues permutes the columns and the vector alike; the plan's
+    # frontier roles follow the queue order, and so do the neighbour variants
+    q = _draw_queue_vector(data, poly.n_queues)
+    perm = list(data.draw(st.permutations(range(poly.n_queues))))
+    moved = CapacityPolytope(poly.matrix[:, perm])
+    base, nbr = log_norm_const_neighbours(q, poly)
+    moved_base, moved_nbr = log_norm_const_neighbours(q[perm], moved)
+    assert moved_base == pytest.approx(base, rel=1e-12)
+    np.testing.assert_allclose(moved_nbr, nbr[perm], rtol=1e-12)
+
+
 def test_neighbours_fill_the_cache():
     poly = load_example("cycle4").polytope
     cache = NormConstCache(poly)
