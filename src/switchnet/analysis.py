@@ -329,10 +329,13 @@ def large_deviations_rate(
     """Exponential decay rate of the stationary probability of reaching
     the scaled state Q along the given growth profile.
 
-    Value: -(best log-throughput sum at Q over the capacity region) plus
-    the stage-wise relative-entropy cost of the composition against the
-    arrival mix, Sum_k dQ_j(k) Gamma_jr(k) log(Gamma_jr(k) / a_r), with
-    0 log 0 = 0.  Zero at Q = 0 with the stationary composition.
+    Value: the best log-throughput sum at Q over the capacity region
+    (at most 0, the limit of -(1/c) log Phi(cQ)) plus the stage-wise
+    relative-entropy cost of the composition against the arrival mix,
+    Sum_k dQ_j(k) Gamma_jr(k) log(Gamma_jr(k) / a_r), with 0 log 0 = 0.
+    Zero at Q = 0 with the stationary composition; with the stationary
+    composition it is the limit of -(1/c) log P(cQ) under the stationary
+    law.
     """
     q = np.asarray(Q, dtype=float)
     if q.shape != (spec.n_queues,):
@@ -349,7 +352,7 @@ def large_deviations_rate(
     with np.errstate(divide="ignore", invalid="ignore"):
         logs = np.where(mx > 0, np.log(np.where(mx > 0, mx, 1.0) / rates), 0.0)
     cost = float(np.einsum("kj,kjr->", dq, mx * logs))
-    return -pf + cost
+    return pf + cost
 
 
 # -------------------- scaling limit of log Phi --------------------

@@ -23,6 +23,7 @@ import itertools
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import gammaln
 
 from .model import CapacityPolytope, CapExceededError
@@ -34,6 +35,11 @@ _MAX_TABLE_CELLS = 50_000_000
 # cells of one pool step of the frontier pass: its transfer matrix, and its
 # table with every variant
 _MAX_STEP_CELLS = 8_000_000
+# exact-size transfer matrices memoized per master kernel
+_MAX_MEMO_ENTRIES = 20_000
+# extra extent on every axis of a master kernel rebuilt because a state
+# outgrew it
+_KERNEL_HEADROOM = 4
 
 # above this total occupancy the convolution is tilted by the proportionally
 # fair rates at Q (see _frontier_pass)
@@ -41,12 +47,25 @@ _TILT_THRESHOLD = 120
 
 
 class NormConstCache:
-    """Memo from queue-vector tuples to log Phi, bound to one polytope."""
+    """Memo from queue-vector tuples to log Phi, bound to one polytope.
+
+    It also keeps what the frontier passes reuse across queue vectors: one
+    contraction plan per active set (``plans``) and one master transfer
+    kernel per pool split and fixed counts (``kernels``), which every plan
+    slices.  Reusing
+    one cache across the states of a network therefore reuses its kernels
+    too.  Counters, deterministic for a given sequence of calls: frontier
+    passes run, master kernels built, and exact-size matrices left out of a
+    full kernel memo."""
 
     def __init__(self, polytope: CapacityPolytope):
         self.polytope = polytope
         self._log: dict[tuple, float] = {}
-        self.kernels: dict[tuple, tuple] = {}
+        self.plans: dict[tuple, list] = {}
+        self.kernels: dict[tuple, list] = {}
+        self.passes = 0
+        self.kernel_builds = 0
+        self.memo_refused = 0
 
     def lookup(self, key: tuple):
         return self._log.get(key)
@@ -55,7 +74,9 @@ class NormConstCache:
         self._log[key] = value
 
     def clear(self):
+        """Forget every value, plan and kernel; the counters keep running."""
         self._log.clear()
+        self.plans.clear()
         self.kernels.clear()
 
     def __len__(self) -> int:
@@ -90,18 +111,22 @@ def _log_kernel(counts, log_a, base_count, base_log):
 
 
 def _pool_plan(active: tuple, A: np.ndarray):
-    """Static contraction schedule for one active set: per pool, the split
-    of its members by frontier role, the table permutation, and a memo of
-    transfer matrices.  Depends only on the zero pattern of the pool matrix,
-    so one plan serves every queue vector with the same support.
+    """Static contraction schedule for one active set.  Depends only on the
+    zero pattern of the pool matrix, so one plan serves every queue vector
+    with the same support.
 
-    Roles: ``banded`` queues are on the frontier and reappear in a later
-    pool; ``contract`` queues are on the frontier and end here; ``fresh``
-    queues start here and reappear later; ``fixed`` queues belong to this
-    pool only, so it serves all of their packets."""
+    Per pool, a step holds the split ``(l, banded, contract, fresh, fixed)``
+    of its members by frontier role, the table permutation, the axes that
+    pass the pool untouched and the table's axes after it, and for a
+    neighbour pass the slices that branch each contracted queue's variant
+    off the base variant.  Roles: ``banded`` queues are on the frontier and
+    reappear in a later pool; ``contract`` queues are on the frontier and
+    end here; ``fresh`` queues start here and reappear later; ``fixed``
+    queues belong to this pool only, so it serves all of their packets."""
     last_pool = {j: int(np.flatnonzero(A[:, j] > 0)[-1]) for j in active}
     steps = []
     axes: list[int] = []
+    n_var = 1
     for l in range(A.shape[0]):
         members = [j for j in active if A[l, j] > 0]
         if not members:
@@ -115,29 +140,35 @@ def _pool_plan(active: tuple, A: np.ndarray):
         perm = (0,) + tuple(1 + axes.index(a) for a in pass_axes + banded + contract)
         if perm == tuple(range(len(perm))):
             perm = None
-        steps.append(
-            (l, tuple(banded), tuple(contract), tuple(fresh), tuple(fixed),
-             perm, tuple(pass_axes), {})
-        )
+        # contracted queue t serves one packet fewer: its variant is the base
+        # variant shifted by one along t's axis
+        births = []
+        lead = (slice(None),) * (len(pass_axes) + len(banded))
+        for t in range(len(contract)):
+            births.append(((n_var + t,) + lead + (slice(1, None),),
+                           (0,) + lead + (slice(None, -1),)))
+            lead += (slice(None),)
+        n_var += len(contract) + len(fixed)
         axes = pass_axes + banded + fresh
+        split = (l, tuple(banded), tuple(contract), tuple(fresh), tuple(fixed))
+        steps.append((split, perm, tuple(pass_axes), tuple(axes), tuple(births)))
     assert axes == [], "internal error: unconsumed frontier axes"
     return steps
 
 
-def _transfer_matrix(l, banded, contract, fresh, fixed, sizes, fixedq, A, memo):
-    """Normalized transfer matrix of pool l and its peak log value.
+def _kernel_grid(l, banded, contract, fresh, fixed, sizes, fixedq, A):
+    """Pool l's kernel laid out on the grid of its transfer matrix, in
+    linear scale relative to its peak, and the peak's log.  The banded
+    axes are a read-only strided view of the kernel, so the grid costs no
+    more memory than the kernel itself.
 
-    ``sizes`` holds the extents Q_j + 1 of the banded, contract and fresh
-    members, in that order; ``fixedq`` the counts of the fixed members.
-    Rows run over the running totals (r_banded, r_contract) of the table so
-    far, columns over the new totals v_banded and the fresh counts u: the
-    entry is the pool kernel at served counts v - r (zero where negative),
-    Q - r and u.  Memoized in ``memo`` when one is given (exact coefficients
-    only)."""
-    key = (sizes, fixedq)
-    entry = memo.get(key) if memo is not None else None
-    if entry is not None:
-        return entry
+    ``sizes`` holds the extents of the banded, contract and fresh members,
+    in that order; ``fixedq`` the counts of the fixed members.  Axes run
+    over (r_banded, r_contract, v_banded, u_fresh): the running totals of
+    the table so far, then the new totals and the fresh counts.  The entry
+    is the pool kernel at served counts v - r (zero where negative),
+    extent - 1 - r and u: a contracted queue's running total r leaves the
+    rest of its packets to this pool."""
     nb, nc = len(banded), len(contract)
     base_log = sum(
         q * math.log(A[l, j]) - float(gammaln(q + 1.0))
@@ -151,29 +182,71 @@ def _transfer_matrix(l, banded, contract, fresh, fixed, sizes, fixedq, A, memo):
     mk = float(np.max(klog))
     klin = np.exp(klog - mk)
     if nc:
-        # running total r of a contracted queue leaves Q - r packets here
         klin = np.flip(klin, axis=tuple(range(nb, nb + nc)))
     if nb:
-        # gather the kernel onto the grid (r_banded, r_contract, v_banded, u)
-        grid = sizes[: nb + nc] + sizes[:nb] + sizes[nb + nc:]
+        # with extent - 1 zeros in front of each banded axis, the windows
+        # W[i, ..., w] = P[i + w] read served count w - r at i = extent - 1 - r
+        klin = np.pad(klin, [(s - 1, 0) for s in sizes[:nb]] + [(0, 0)] * (len(sizes) - nb))
+        win = sliding_window_view(klin, sizes[:nb], axis=tuple(range(nb)))
+        win = win[(slice(None, None, -1),) * nb]
+        klin = np.moveaxis(win, range(len(sizes), len(sizes) + nb), range(nb + nc, 2 * nb + nc))
+    return klin, mk
 
-        def axis(i):
-            shape = [1] * len(grid)
-            shape[i] = grid[i]
-            return np.arange(grid[i]).reshape(shape)
 
-        served = [axis(nb + nc + t) - axis(t) for t in range(nb)]
-        rest = [axis(i) for i in range(nb, nb + nc)] + [axis(i) for i in range(2 * nb + nc, len(grid))]
-        klin = klin[tuple(np.maximum(d, 0) for d in served) + tuple(rest)]
-        for d in served:
-            klin = klin * (d >= 0)
-    entry = (np.reshape(klin, (math.prod(sizes[: nb + nc]), -1)), mk)
-    if memo is not None and len(memo) < 20_000:
-        memo[key] = entry
+def _grown_extents(old, want, nb):
+    """Extents of a master kernel rebuilt because ``want`` outgrew ``old``:
+    the larger of the two on every axis plus headroom, or without the
+    headroom, or ``want`` alone, whichever first fits the step cap
+    (``want`` always does: it passed the pass's up-front check)."""
+    wide = tuple(max(o, w) for o, w in zip(old, want))
+    roomy = tuple(m + _KERNEL_HEADROOM for m in wide)
+    for ext in (roomy, wide):
+        if math.prod(ext[:nb]) * math.prod(ext) <= _MAX_STEP_CELLS:
+            return ext
+    return want
+
+
+def _transfer_matrix(split, sizes, fixedq, rows, A, cache):
+    """Normalized transfer matrix of one pool split, with ``rows`` rows over
+    the running totals (r_banded, r_contract) and columns over (v_banded,
+    u_fresh) (see ``_kernel_grid``), and its peak log value.
+
+    Without a cache the matrix is built at exactly these extents.  With
+    one, it is a slice of the cache's master kernel for this pool split
+    and these fixed counts: the master is built at the first extents asked
+    for and rebuilt, with headroom, only when an extent outgrows it.  Each
+    slice is copied once into the master's exact-size memo.  A master is
+    the list [extents, gathered kernel, peak log, memo by extents]."""
+    if cache is None:
+        klin, mk = _kernel_grid(*split, sizes, fixedq, A)
+        return np.ascontiguousarray(klin).reshape(rows, -1), mk
+    master = cache.kernels.get((split, fixedq))
+    if master is None:
+        master = cache.kernels[split, fixedq] = [sizes, None, 0.0, {}]
+    ext, klin, mk, exact = master
+    entry = exact.get(sizes)
+    if entry is not None:
+        return entry
+    nb, nc = len(split[1]), len(split[2])
+    if klin is None or any(s > e for s, e in zip(sizes, ext)):
+        ext = sizes if klin is None else _grown_extents(ext, sizes, nb)
+        klin, mk = _kernel_grid(*split, ext, fixedq, A)
+        master[:3] = ext, klin, mk
+        cache.kernel_builds += 1
+    # a contracted running total r serves extent - 1 - r: slice from the end
+    lead = tuple(slice(s) for s in sizes[:nb])
+    cut = (lead + tuple(slice(e - s, None) for s, e in zip(sizes[nb: nb + nc], ext[nb: nb + nc]))
+           + lead + tuple(slice(s) for s in sizes[nb + nc:]))
+    entry = (np.ascontiguousarray(klin[cut]).reshape(rows, -1), mk)
+    if len(exact) < _MAX_MEMO_ENTRIES:
+        exact[sizes] = entry
+    else:
+        cache.memo_refused += 1
     return entry
 
 
-def _frontier_pass(Q: np.ndarray, polytope: CapacityPolytope, memo: dict | None, neighbours: bool):
+def _frontier_pass(Q: np.ndarray, polytope: CapacityPolytope, cache: NormConstCache | None,
+                   neighbours: bool):
     """log Phi(Q) by sequential pool convolution, one matrix product per pool.
 
     With ``neighbours`` the table carries a leading variant axis and the pass
@@ -183,26 +256,27 @@ def _frontier_pass(Q: np.ndarray, polytope: CapacityPolytope, memo: dict | None,
     j serves one packet fewer, which is the base table shifted by one along
     j's axis; a fixed j takes the pool kernel with Q_j - 1 packets."""
     A = polytope.matrix
-    J = len(Q)
+    q = Q.tolist()
+    J = len(q)
     nbr = np.full(J, _NEG_INF) if neighbours else None
-    active = tuple(j for j in range(J) if Q[j] > 0)
+    active = tuple(j for j, v in enumerate(q) if v > 0)
     if not active:
         return 0.0, nbr
-    plan = memo.get(("plan", active)) if memo is not None else None
+    plan = cache.plans.get(active) if cache is not None else None
     if plan is None:
         plan = _pool_plan(active, A)
-        if memo is not None:
-            memo[("plan", active)] = plan
+        if cache is not None:
+            cache.plans[active] = plan
 
     # every step's extents, checked against the cap before anything is built
-    sz = [int(v) + 1 for v in Q]
+    sz = [v + 1 for v in q]
     dims = []
     n_var = 1
-    for _, banded, contract, fresh, fixed, _, pass_axes, _ in plan:
-        p = math.prod(sz[a] for a in pass_axes)
-        b = math.prod(sz[j] for j in banded)
-        c = math.prod(sz[j] for j in contract)
-        f = math.prod(sz[j] for j in fresh)
+    for (_, banded, contract, fresh, fixed), _, pass_axes, axes, _ in plan:
+        p = math.prod([sz[a] for a in pass_axes])
+        b = math.prod([sz[j] for j in banded])
+        c = math.prod([sz[j] for j in contract])
+        f = math.prod([sz[j] for j in fresh])
         if neighbours:
             n_var += len(contract) + len(fixed)
         if max(b * b * c * f, n_var * p * b * max(c, f)) > _MAX_STEP_CELLS:
@@ -210,10 +284,13 @@ def _frontier_pass(Q: np.ndarray, polytope: CapacityPolytope, memo: dict | None,
                 "normalizing-constant table too large for this queue vector; "
                 "reduce the vector or reorder pools"
             )
-        dims.append((p, b * c))
+        dims.append((p, b * c, tuple([sz[j] for j in banded + contract + fresh]),
+                     tuple([q[j] for j in fixed]), (-1,) + tuple([sz[a] for a in axes])))
+    if cache is not None:
+        cache.passes += 1
 
     log_z = None
-    if int(Q.sum()) > _TILT_THRESHOLD:
+    if sum(q) > _TILT_THRESHOLD:
         # A_lj -> A_lj z_j multiplies every term of Phi by prod_j z_j^Q_j,
         # corrected at the end; the fair rates maximize that product over
         # A z <= 1, which keeps the table well scaled for large vectors.  The
@@ -225,44 +302,40 @@ def _frontier_pass(Q: np.ndarray, polytope: CapacityPolytope, memo: dict | None,
         z[Q == 0] = 1.0
         A = A * z[None, :]
         log_z = np.log(z)
+    # coefficients of a tilted pass depend on the state: built, not memoized
+    kernels = cache if log_z is None else None
 
     table = np.ones(1)
     offset = 0.0
     order: list[int] = []  # the queue of each variant after the base
-    for (l, banded, contract, fresh, fixed, perm, pass_axes, kmemo), (p, rows) in zip(plan, dims):
-        sizes = tuple(sz[j] for j in banded + contract + fresh)
-        fixedq = tuple(sz[j] - 1 for j in fixed)
-        # coefficients of a tilted pass depend on the state: no memo
-        memo_l = kmemo if log_z is None else None
-        M, mk = _transfer_matrix(l, banded, contract, fresh, fixed, sizes, fixedq, A, memo_l)
+    for (split, perm, _, _, births), (p, rows, sizes, fixedq, shape) in zip(plan, dims):
+        M, mk = _transfer_matrix(split, sizes, fixedq, rows, A, kernels)
         if perm is not None:
-            table = np.transpose(table, perm)
-        if neighbours and contract:
-            base = table[0]
-            births = np.zeros((len(contract),) + base.shape)
-            lead = (slice(None),) * (len(pass_axes) + len(banded))
-            for t in range(len(contract)):
-                births[(t,) + lead + (slice(1, None),)] = base[lead + (slice(None, -1),)]
-                lead += (slice(None),)
-            table = np.concatenate([table, births])
-            order += contract
+            table = table.transpose(perm)
+        if neighbours and births:
+            grown = np.zeros((len(table) + len(births),) + table.shape[1:])
+            grown[: len(table)] = table
+            for dst, src in births:
+                grown[dst] = table[src]
+            table = grown
+            order += split[2]
         flat = table.reshape(-1, rows)
         out = flat @ M
-        if neighbours and fixed:
+        if neighbours and split[4]:
             extra = [out]
-            for t, j in enumerate(fixed):
+            for t in range(len(fixedq)):
                 fq = fixedq[:t] + (fixedq[t] - 1,) + fixedq[t + 1:]
-                Mj, mkj = _transfer_matrix(l, banded, contract, fresh, fixed, sizes, fq, A, memo_l)
+                Mj, mkj = _transfer_matrix(split, sizes, fq, rows, A, kernels)
                 extra.append((flat[:p] @ Mj) * math.exp(mkj - mk))
             out = np.concatenate(extra)
-            order += fixed
+            order += split[4]
 
         offset += mk
         m = float(out.max())
         if m > 1e100 or 0.0 < m < 1e-100:
             out = out / m
             offset += math.log(m)
-        table = out.reshape((-1,) + tuple(sz[j] for j in pass_axes + banded + fresh))
+        table = out.reshape(shape)
 
     with np.errstate(divide="ignore"):
         logs = offset + np.log(table)
@@ -284,7 +357,7 @@ def log_norm_const(Q, polytope: CapacityPolytope, cache: NormConstCache | None =
         hit = cache.lookup(key)
         if hit is not None:
             return hit
-    val, _ = _frontier_pass(q, polytope, cache.kernels if cache is not None else None, False)
+    val, _ = _frontier_pass(q, polytope, cache, False)
     if cache is not None:
         cache.store(key, val)
     return val
@@ -307,7 +380,7 @@ def log_norm_const_neighbours(
         hits = [cache.lookup(k) if k is not None else _NEG_INF for k in down]
         if base is not None and None not in hits:
             return base, np.array(hits)
-    base, nbr = _frontier_pass(q, polytope, cache.kernels if cache is not None else None, True)
+    base, nbr = _frontier_pass(q, polytope, cache, True)
     if cache is not None:
         cache.store(key, base)
         for k, v in zip(down, nbr):

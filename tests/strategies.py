@@ -52,3 +52,18 @@ def config_overrides(draw):
     }
     keys = draw(st.sets(st.sampled_from(sorted(values)), max_size=len(values)))
     return {k: draw(values[k]) for k in sorted(keys)}
+
+
+@st.composite
+def frontier_polytopes(draw):
+    """Three pools over four queues, random positive weights, laid out so
+    that a frontier pass over an all-occupied vector meets every role:
+    queue 0 runs through all pools (fresh, banded, contracted), queue 1
+    skips the middle pool, queue 2 is fixed in the middle pool and queue 3
+    starts there and ends in the last."""
+    pattern = np.array([[1, 1, 0, 0], [1, 0, 1, 1], [1, 1, 0, 1]], dtype=bool)
+    n = int(pattern.sum())
+    weights = draw(st.lists(st.floats(0.2, 1.5), min_size=n, max_size=n))
+    A = np.zeros(pattern.shape)
+    A[pattern] = weights
+    return CapacityPolytope(A)

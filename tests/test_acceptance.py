@@ -22,9 +22,10 @@ from switchnet.analysis import (
     stationary_mix,
 )
 from switchnet.metrics import SimConfig
-from switchnet.model import CapacityPolytope, NetworkSpec, Route
+from switchnet.model import CapacityPolytope, NetworkSpec, Route, compute_loads
 from switchnet.normconst import (
     NormConstCache,
+    log_norm_const,
     norm_const_bruteforce_table,
     norm_const_table,
 )
@@ -35,7 +36,11 @@ from switchnet.sim import (
     simulate_prop_sched,
     simulate_store_forward,
 )
-from switchnet.storeforward import StationarySampler, expected_queue_lengths
+from switchnet.storeforward import (
+    StationarySampler,
+    expected_queue_lengths,
+    stationary_normalizer,
+)
 
 
 def _report(num, name, ok, detail):
@@ -358,13 +363,24 @@ def test_criterion_09_rate_function_properties():
             )
         )
     mm1_ok = max(errs) <= 1e-9
+
+    # a state whose fair objective is nonzero: the rate at the stationary
+    # composition is the decay rate -(1/c) log P(cQ) of the stationary law
+    q, c = np.array([1, 2]), 200
+    loads = compute_loads(shared.spec, shared.polytope)
+    prof = CompositionProfile.single_stage(q, mix, shared.spec)
+    log_p = (math.log(stationary_normalizer(loads)) + log_norm_const(q * c, shared.polytope)
+             + float(q * c @ np.log(loads.queue_loads)))
+    decay_gap = abs(-log_p / c - large_deviations_rate(q, prof, shared.spec, shared.polytope))
+    decay_ok = decay_gap <= math.log(c) / c
     dt = time.perf_counter() - t0
     _report(
         9,
         "rate-function-properties",
-        zero_ok and min_ok and mm1_ok,
+        zero_ok and min_ok and mm1_ok and decay_ok,
         f"origin 0: {zero_ok}; minimizer {best:.2f} vs 0.80; "
-        f"single-queue err {max(errs):.1e}, {dt:.1f}s",
+        f"single-queue err {max(errs):.1e}; decay gap at (1,2)x200 "
+        f"{decay_gap:.4f} vs log c / c {math.log(c) / c:.4f}, {dt:.1f}s",
     )
 
 

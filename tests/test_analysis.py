@@ -15,10 +15,12 @@ from switchnet.analysis import (
     stationary_mix,
 )
 from switchnet.metrics import SimConfig
-from switchnet.model import CapacityPolytope, NetworkSpec, Route
+from switchnet.model import CapacityPolytope, NetworkSpec, Route, compute_loads
+from switchnet.normconst import log_norm_const
+from switchnet.presets import load_example
 from switchnet.propfair import solve_prop_fair
 from switchnet.sim import simulate_prop_sched, simulate_store_forward
-from switchnet.storeforward import StationarySampler
+from switchnet.storeforward import StationarySampler, stationary_normalizer
 
 
 def test_balance_hand_case(single_pool):
@@ -178,6 +180,28 @@ def test_rate_minimized_at_stationary_mix():
         vals.append(large_deviations_rate(q, prof, spec, poly))
     best = grid[int(np.argmin(vals))]
     assert best == pytest.approx(0.4 / 0.5, abs=0.011)
+
+
+@pytest.mark.parametrize("name, Q", [("single-pool", (1, 2)), ("k22", (1, 2, 3, 4))])
+def test_rate_is_the_stationary_decay_rate(name, Q):
+    # -(1/c) log P(cQ) of the stationary queue totals, P(Q) = prod_l (1 - a_l)
+    # Phi(Q) prod_j a_j^Q_j, approaches the rate at the stationary composition
+    # with a gap falling like log c / c; the fair objective at Q is nonzero
+    ex = load_example(name)
+    spec, poly = ex.spec, ex.polytope
+    assert solve_prop_fair(Q, poly).objective < -1.0
+    loads = compute_loads(spec, poly)
+    prof = CompositionProfile.single_stage(Q, stationary_mix(spec, poly), spec)
+    rate = large_deviations_rate(Q, prof, spec, poly)
+    scales = (50, 100, 200)
+    gaps = []
+    for c in scales:
+        q = np.array(Q) * c
+        log_p = (math.log(stationary_normalizer(loads)) + log_norm_const(q, poly)
+                 + float(q @ np.log(loads.queue_loads)))
+        gaps.append(abs(-log_p / c - rate))
+    assert all(g <= math.log(c) / c for g, c in zip(gaps, scales))
+    assert gaps[0] > gaps[1] > gaps[2]
 
 
 def test_rate_profile_endpoint_mismatch(single_pool):

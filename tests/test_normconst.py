@@ -8,8 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
+from switchnet import normconst
+from switchnet.metrics import SimConfig
 from switchnet.model import CapacityPolytope, CapExceededError
 from switchnet.normconst import (
+    _MAX_STEP_CELLS,
     _TILT_THRESHOLD,
     NormConstCache,
     log_norm_const,
@@ -19,10 +22,11 @@ from switchnet.normconst import (
     norm_const_bruteforce_table,
     norm_const_table,
 )
-from switchnet.presets import load_example
-from switchnet.storeforward import store_forward_rates
+from switchnet.presets import load_example, scaled_rates
+from switchnet.sim import simulate_store_forward
+from switchnet.storeforward import StationarySampler, store_forward_rates
 
-from strategies import polytopes
+from strategies import frontier_polytopes, polytopes
 
 
 def _single_pool_exact(Q, weights):
@@ -141,6 +145,7 @@ def test_cache_reuse(cycle4):
     assert len(cache) == n
     cache.clear()
     assert len(cache) == 0
+    assert not cache.plans and not cache.kernels
 
 
 def test_dimension_check():
@@ -299,3 +304,88 @@ def test_frontier_pass_cap_on_variant_table():
     q = np.array([1100, 1100, 1, 1, 1, 1, 1])
     assert np.isfinite(log_norm_const(q, poly))
     _raises_before_allocating(store_forward_rates, q, poly)
+
+
+# -------------------- master transfer kernels --------------------
+
+
+def _assert_cached_matches_cache_free(q, poly, cache):
+    # Phi and sigma relative, through the log values
+    base, nbr = log_norm_const_neighbours(q, poly, cache)
+    want_base, want_nbr = log_norm_const_neighbours(q, poly)
+    assert abs(base - want_base) <= 1e-13
+    live = q > 0
+    np.testing.assert_allclose(np.exp(nbr[live] - base), np.exp(want_nbr[live] - want_base),
+                               rtol=1e-13, atol=0)
+    assert np.all(nbr[~live] == -math.inf)
+    up = q + 1
+    assert abs(log_norm_const(up, poly, cache) - log_norm_const(up, poly)) <= 1e-13
+
+
+@settings(max_examples=80, deadline=None)
+@given(poly=st.one_of(polytopes(), frontier_polytopes()), data=st.data())
+def test_master_kernels_serve_smaller_states_exactly(poly, data):
+    # larger states first grow the cache's master kernels; the smaller ones
+    # after them are slices of those masters, never built at their own size
+    J = poly.n_queues
+    small = [np.array(data.draw(st.lists(st.integers(0, 4), min_size=J, max_size=J)))
+             for _ in range(3)]
+    large = [q + np.array(data.draw(st.lists(st.integers(0, 9), min_size=J, max_size=J)))
+             for q in small]
+    cache = NormConstCache(poly)
+    for q in large + small:
+        _assert_cached_matches_cache_free(q, poly, cache)
+    assert cache.kernel_builds >= len(cache.kernels)
+    assert all(m[1].size <= _MAX_STEP_CELLS for m in cache.kernels.values())
+
+
+def test_master_kernel_stays_within_step_cap():
+    # queues 0 and 1 are banded in the middle pool, whose transfer matrix
+    # has (Q_0 + 1)^2 (Q_1 + 1)^2 cells: each state fits alone, but a master
+    # spanning both would hold 61^4 cells, so it is rebuilt for each instead
+    poly = CapacityPolytope(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.5, 1.0, 0.0]]))
+    cache = NormConstCache(poly)
+    for q in ([60, 1, 1], [1, 60, 1], [59, 1, 2]):
+        _assert_cached_matches_cache_free(np.array(q), poly, cache)
+        assert all(m[1].size <= _MAX_STEP_CELLS for m in cache.kernels.values())
+        middle = [m[0] for (split, _), m in cache.kernels.items() if split[0] == 1]
+        assert middle and all(min(ext) <= 3 for ext in middle)
+
+
+def test_full_kernel_memo_is_counted(monkeypatch):
+    monkeypatch.setattr(normconst, "_MAX_MEMO_ENTRIES", 1)
+    poly = load_example("cycle4").polytope
+    cache = NormConstCache(poly)
+    for q in ([3, 1, 2, 2], [2, 2, 1, 1], [1, 3, 2, 1]):
+        _assert_cached_matches_cache_free(np.array(q), poly, cache)
+    assert cache.memo_refused > 0
+    assert all(len(m[3]) == 1 for m in cache.kernels.values())
+
+
+def _sf_grid_replication(seed, cache):
+    # 150 nominal events on grid3x3 at pool load 0.8 from a stationary draw
+    ex = load_example("grid3x3")
+    spec = scaled_rates(ex, 0.8)
+    A = ex.polytope.matrix
+    lam = spec.rates().sum() + sum(1.0 / A[A[:, j] > 0, j].max() for j in range(spec.n_queues))
+    q0 = StationarySampler(spec, ex.polytope, seed=seed).sample_queues(1)[0]
+    cfg = SimConfig(horizon=150 / lam, seed=seed, warmup_fraction=0.0, batches=2)
+    simulate_store_forward(spec, ex.polytope, cfg, initial=q0, phi_cache=cache)
+
+
+def test_kernel_builds_on_grid_replications():
+    # one cold store-forward path per seed, each with a fresh cache: the
+    # masters keep rebuilds far below one per pass
+    poly = load_example("grid3x3").polytope
+    caches = []
+    for seed in range(8100, 8116):
+        caches.append(NormConstCache(poly))
+        _sf_grid_replication(seed, caches[-1])
+    builds = sum(c.kernel_builds for c in caches)
+    passes = sum(c.passes for c in caches)
+    assert builds <= 800
+    assert passes > builds
+    assert sum(c.memo_refused for c in caches) == 0
+    again = NormConstCache(poly)
+    _sf_grid_replication(8100, again)
+    assert (again.passes, again.kernel_builds) == (caches[0].passes, caches[0].kernel_builds)
