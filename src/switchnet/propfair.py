@@ -8,6 +8,13 @@ active-set Newton polish on the prices that makes degenerate optima exact.
 It needs no starting point, and one solve serves every caller: the
 proportional scheduler, the lottery decomposition and the tilt of the
 normalizing-constant pass.
+
+The lottery is a Carathéodory peel with no LP: it moves mass onto one
+listed schedule at a time, each on the minimal face of the clique
+polytope that holds what remains of the target.  It is guaranteed to
+succeed when the list holds the independent sets of a perfect graph and
+the target lies in that graph's clique polytope, whose vertices are then
+exactly the schedules.
 """
 
 from __future__ import annotations
@@ -16,15 +23,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import lapack
-from scipy.optimize import linprog
 
-from .model import CapacityPolytope
+from .model import CapacityPolytope, InterferenceGraph, cliques_to_polytope
 from .normconst import NormConstCache
 from .storeforward import store_forward_rates
 
 
 class InfeasibleTargetError(ValueError):
-    """Target mean lies outside the convex hull of the given schedules."""
+    """The lottery over the given schedules does not reach the target mean."""
 
 
 @dataclass(frozen=True)
@@ -281,43 +287,22 @@ class ScheduleDistribution:
         return self.schedules[min(k, len(self.schedules) - 1)]
 
 
-def _prune_support(sched, prob, n_queues):
-    """Carathéodory reduction: walk along null directions of the moment
-    map until at most n_queues + 1 atoms carry mass."""
-    sched = sched.copy()
-    prob = prob.copy()
-    while len(prob) > n_queues + 1:
-        M = np.vstack([sched.T, np.ones(len(prob))])
-        _, _, vh = np.linalg.svd(M)
-        null = vh[-1]
-        if np.max(np.abs(M @ null)) > 1e-9:
-            break
-        with np.errstate(divide="ignore"):
-            ratios = np.where(null > 1e-15, prob / null, np.inf)
-        t = ratios.min()
-        if not np.isfinite(t):
-            null = -null
-            ratios = np.where(null > 1e-15, prob / null, np.inf)
-            t = ratios.min()
-            if not np.isfinite(t):
-                break
-        prob = prob - t * null
-        keep = prob > 1e-12
-        if keep.all():
-            prob[np.argmin(ratios)] = 0.0
-            keep = prob > 1e-12
-        sched = sched[keep]
-        prob = prob[keep]
-    return sched, np.maximum(prob, 0.0) / max(prob.sum(), 1e-300)
-
-
 def decompose_mean(target, schedules, tol: float = 1e-8) -> ScheduleDistribution:
     """Express ``target`` as the mean of a lottery over ``schedules``.
 
-    Solves the moment-matching feasibility LP with a simplex method, so
-    the answer is a vertex (small support) and deterministic for a fixed
-    schedule order.  Targets within ``tol`` of the hull are accepted by a
-    banded retry; anything further raises InfeasibleTargetError.
+    A Carathéodory peel on the clique polytope of the list: two queues
+    conflict when no schedule serves both, and the pools are the maximal
+    cliques of that conflict graph.  Each step takes the listed schedule
+    that is zero on the remainder's empty queues, serves every pool the
+    remainder fills, and serves the most queues (list order breaks ties),
+    and moves as much mass onto it as keeps the remainder in the polytope.
+    Each step empties a queue, fills a pool or spends the last mass, so the
+    support is at most J + 1.  When the list holds the independent sets of
+    a perfect graph and the target lies in its clique polytope, the face
+    of every remainder is the hull of listed schedules (Chvátal 1975), so
+    the peel always succeeds.  InfeasibleTargetError is raised when no
+    listed schedule lies on the face, or when the lottery's mean misses
+    the target by more than ``tol``.
     """
     S = np.asarray(schedules, dtype=float)
     if S.ndim != 2:
@@ -325,34 +310,32 @@ def decompose_mean(target, schedules, tol: float = 1e-8) -> ScheduleDistribution
     t = np.asarray(target, dtype=float)
     if t.shape != (S.shape[1],):
         raise ValueError("target length does not match schedule width")
-    K, J = S.shape
-    A_eq = np.vstack([S.T, np.ones((1, K))])
-    b_eq = np.concatenate([t, [1.0]])
-    res = linprog(
-        np.zeros(K), A_eq=A_eq, b_eq=b_eq, bounds=[(0, None)] * K,
-        method="highs-ds",
-    )
-    if not res.success:
-        band = max(tol, 1e-7)
-        res = linprog(
-            np.zeros(K),
-            A_ub=np.vstack([S.T, -S.T]),
-            b_ub=np.concatenate([t + band, -(t - band)]),
-            A_eq=np.ones((1, K)),
-            b_eq=[1.0],
-            bounds=[(0, None)] * K,
-            method="highs-ds",
-        )
-        if not res.success:
-            raise InfeasibleTargetError(
-                f"target {t} not expressible as a schedule mixture (within {band})"
-            )
-    x = np.maximum(res.x, 0.0)
-    keep = x > 1e-12
-    if not np.any(keep):
-        keep = x == x.max()
-    sched = S[keep]
-    prob = x[keep] / x[keep].sum()
-    sched, prob = _prune_support(sched, prob, J)
+    served = S > 0
+    conflicts = np.argwhere(np.triu(served.T.astype(int) @ served == 0, 1))
+    A = cliques_to_polytope(InterferenceGraph.from_edges(S.shape[1], conflicts)).matrix
+    in_pool = (S @ A.T) > 0
+    width = served.sum(axis=1)
+    x = np.maximum(t, 0.0)
+    mass = 1.0
+    picked, prob = [], []
+    while mass > 0.0:
+        load = A @ x
+        tight = load >= mass * (1 - 1e-9)
+        on_face = ~served[:, x == 0.0].any(axis=1) & in_pool[:, tight].all(axis=1)
+        if not on_face.any():
+            raise InfeasibleTargetError(f"target {t}: no listed schedule on the face of {x / mass}")
+        k = int(np.argmax(np.where(on_face, width, -1)))
+        v = S[k]
+        step = min(mass, np.min(x[served[k]] / v[served[k]], initial=np.inf),
+                   np.min(mass - load[~in_pool[k]], initial=np.inf))
+        picked.append(k)
+        prob.append(step)
+        x -= step * v
+        x[x < 1e-12] = 0.0
+        mass = mass - step if mass - step >= 1e-12 else 0.0
+    sched, prob = S[picked], np.array(prob) / sum(prob)
+    miss = float(np.max(np.abs(prob @ sched - t), initial=0.0))
+    if not miss <= tol:
+        raise InfeasibleTargetError(f"target {t}: the peeled lottery misses it by {miss:.3g}")
     order = np.lexsort(sched.T[::-1])
     return ScheduleDistribution(schedules=sched[order], probabilities=prob[order])

@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import switchnet
 from switchnet.cli import main, run, _run_examples
 
 
@@ -11,6 +14,16 @@ def _write(tmp_path, doc, name="exp.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def test_import_loads_neither_scipy_stats_nor_optimize():
+    # every CLI process pays for what the package import loads
+    code = ("import sys, switchnet; print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'optimize'])))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(switchnet.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
 
 
 def test_analyze_tandem_row(tmp_path):

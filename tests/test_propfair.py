@@ -115,16 +115,32 @@ def test_solver_kkt_on_random_polytopes(poly, data):
     _check_solution(q, poly, solve_prop_fair(q, poly))
 
 
+def _check_lottery(target, sched):
+    dist = decompose_mean(target, sched)
+    assert dist.support_size <= sched.shape[1] + 1
+    listed = {tuple(row) for row in sched}
+    assert all(tuple(row) in listed for row in dist.schedules)
+    assert np.all(dist.probabilities > 0)
+    assert dist.probabilities.sum() == pytest.approx(1.0, rel=0, abs=1e-12)
+    np.testing.assert_allclose(dist.mean, target, rtol=0, atol=1e-12)
+
+
 @settings(max_examples=150, deadline=None)
 @given(graph=perfect_graphs(), data=st.data())
 def test_solver_lottery_on_perfect_graphs(graph, data):
+    # fair optima sit on faces of the clique polytope, convex mixtures of
+    # the schedules anywhere in it; the peel must hit both
     g, poly = graph
+    sched = enumerate_schedules(g)
     q = np.array(data.draw(st.lists(queue_lengths, min_size=g.n, max_size=g.n)))
     assume(q.any())
     sol = solve_prop_fair(q, poly)
     _check_solution(q, poly, sol)
-    dist = decompose_mean(sol.rates, enumerate_schedules(g))
-    np.testing.assert_allclose(dist.mean, sol.rates, rtol=0, atol=1e-9)
+    _check_lottery(sol.rates, sched)
+    w = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(sched),
+                                    max_size=len(sched))))
+    assume(w.sum() > 0)
+    _check_lottery(w / w.sum() @ sched, sched)
 
 
 # states that are hard for an interior-point method, with their exact optima
@@ -202,11 +218,17 @@ def test_gap_matches_direct_computation():
 
 def test_decompose_one_edge():
     sched = np.array([[0, 0], [1, 0], [0, 1]])
-    dist = decompose_mean([2 / 3, 1 / 3], sched)
-    np.testing.assert_allclose(dist.mean, [2 / 3, 1 / 3], atol=1e-9)
-    got = {tuple(s): p for s, p in zip(dist.schedules, dist.probabilities)}
-    assert got[(1, 0)] == pytest.approx(2 / 3, abs=1e-9)
-    assert got[(0, 1)] == pytest.approx(1 / 3, abs=1e-9)
+    for target, expected in [
+        ([2 / 3, 1 / 3], {(1, 0): 2 / 3, (0, 1): 1 / 3}),
+        ([0, 1], {(0, 1): 1.0}),  # a target equal to one schedule
+        ([0, 0], {(0, 0): 1.0}),
+    ]:
+        dist = decompose_mean(target, sched)
+        np.testing.assert_allclose(dist.mean, target, atol=1e-9)
+        got = {tuple(s): p for s, p in zip(dist.schedules, dist.probabilities)}
+        assert got.keys() == expected.keys()
+        for s, p in expected.items():
+            assert got[s] == pytest.approx(p, abs=1e-9)
 
 
 def test_decompose_support_caratheodory():
@@ -229,9 +251,17 @@ def test_decompose_probabilities_normalized(cycle4):
 
 
 def test_decompose_infeasible():
-    sched = np.array([[0, 0], [1, 0], [0, 1]])
-    with pytest.raises(InfeasibleTargetError):
-        decompose_mean([0.9, 0.9], sched)  # outside conv(S) for one edge
+    one_edge = [[0, 0], [1, 0], [0, 1]]
+    for target, sched in [
+        ([0.9, 0.9], one_edge),  # outside conv(S) for one edge
+        ([0.3, 0.3], [[1, 0], [0, 1]]),  # the list lacks the empty schedule
+        # the peel misses these by 1e-6, more than the default tol
+        ([0.5, 0.5 + 1e-6], one_edge),
+        ([-1e-6, 0.5], one_edge),
+        ([np.nan, 0.2], one_edge),
+    ]:
+        with pytest.raises(InfeasibleTargetError):
+            decompose_mean(target, np.array(sched))
 
 
 def test_distribution_sampling_deterministic():
