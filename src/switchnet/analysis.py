@@ -72,53 +72,45 @@ def balance_check(
     rates = spec.rates()
     log_rates = np.log(rates)
     kind, arg = transition
-
+    # every transition is one hop of a route-r packet from queue j (-1 for
+    # an arrival) to queue k (-1 for a departure); the reversed chain undoes
+    # it with a reversed arrival or a reversed service at k
     if kind == "arrival":
-        r = int(arg)
+        r, j = int(arg), -1
         if not 0 <= r < spec.n_routes:
             raise ValueError(f"no route with index {r}")
-        f = spec.routes[r].path[0]
-        Q2 = Q.copy()
-        Q2[f] += 1
-        fifo2 = list(map(tuple, fifo))
-        fifo2[f] = fifo2[f] + (r,)
-        rate_fwd = float(rates[r])
-        sigma2 = store_forward_rates(Q2, polytope, cache)
-        rate_rev = float(sigma2[f])
-        detail = (r,)
     elif kind in ("move", "departure"):
         j = int(arg)
         if not 0 <= j < spec.n_queues or len(fifo[j]) == 0:
             raise ValueError(f"queue {j} cannot serve: empty or out of range")
         r = fifo[j][0]
-        path = spec.routes[r].path
-        pos = path.index(j)
-        last = pos == len(path) - 1
-        if kind == "move" and last:
-            raise ValueError(
-                f"front packet of queue {j} is at its final hop; not a move"
-            )
-        if kind == "departure" and not last:
-            raise ValueError(
-                f"front packet of queue {j} still has hops left; not a departure"
-            )
-        rate_fwd = float(store_forward_rates(Q, polytope, cache)[j])
-        Q2 = Q.copy()
-        Q2[j] -= 1
-        fifo2 = list(map(tuple, fifo))
-        fifo2[j] = fifo2[j][1:]
-        if kind == "move":
-            k = path[pos + 1]
-            Q2[k] += 1
-            fifo2[k] = fifo2[k] + (r,)
-            sigma2 = store_forward_rates(Q2, polytope, cache)
-            rate_rev = float(sigma2[k])
-            detail = (j, k, r)
-        else:
-            rate_rev = float(rates[r])
-            detail = (j, r)
     else:
         raise ValueError(f"unknown transition class {kind!r}")
+    k = int(spec.next_hop[j, r])
+    if kind == "move" and k < 0:
+        raise ValueError(
+            f"front packet of queue {j} is at its final hop; not a move"
+        )
+    if kind == "departure" and k != -1:
+        raise ValueError(
+            f"front packet of queue {j} still has hops left; not a departure"
+        )
+
+    Q2 = Q.copy()
+    fifo2 = list(map(tuple, fifo))
+    if j >= 0:
+        rate_fwd = float(store_forward_rates(Q, polytope, cache)[j])
+        Q2[j] -= 1
+        fifo2[j] = fifo2[j][1:]
+    else:
+        rate_fwd = float(rates[r])
+    if k >= 0:
+        Q2[k] += 1
+        fifo2[k] = fifo2[k] + (r,)
+        rate_rev = float(store_forward_rates(Q2, polytope, cache)[k])
+    else:
+        rate_rev = float(rates[r])
+    detail = (j, k, r) if kind == "move" else (j, r) if j >= 0 else (r,)
 
     lw1 = _log_weight(Q, fifo, spec, polytope, cache, log_rates)
     lw2 = _log_weight(Q2, fifo2, spec, polytope, cache, log_rates)
@@ -145,25 +137,25 @@ def random_balance_checks(
     sampler = StationarySampler(spec, polytope, seed=seed)
     rng = sampler.rng
     cache = NormConstCache(polytope)
+    hop = spec.next_hop.tolist()
     reports = []
     for _ in range(n):
         Q, fifo = sampler.sample_state()
         choices = [("arrival", r) for r in range(spec.n_routes)]
         for j in range(spec.n_queues):
-            if not fifo[j]:
-                continue
-            r = fifo[j][0]
-            path = spec.routes[r].path
-            if path[-1] == j:
-                choices.append(("departure", j))
-            else:
-                choices.append(("move", j))
+            if fifo[j]:
+                choices.append(("departure" if hop[j][fifo[j][0]] == -1 else "move", j))
         kind, arg = choices[rng.integers(len(choices))]
         reports.append(balance_check((Q, fifo), (kind, arg), spec, polytope, cache))
     return reports
 
 
 # -------------------- independence tests --------------------
+
+# the largest |correlation| an independent pair may show, and the sample
+# count below which the chi-square table is too thin to test
+CORR_THRESHOLD = 0.02
+MIN_SAMPLES = 10_000
 
 
 @dataclass(frozen=True)
@@ -212,8 +204,6 @@ def independence_test(
     pair,
     polytope: CapacityPolytope,
     p_threshold: float = 0.001,
-    corr_threshold: float = 0.02,
-    min_samples: int = 10_000,
 ) -> IndependenceReport:
     """Chi-square independence test plus correlation for a queue pair.
 
@@ -221,13 +211,13 @@ def independence_test(
     output) or a TraceMetrics with the pair's histogram recorded.  Cells
     are pooled from the tail until every expected count is at least 5.
     Verdict: 'dependent' when p < p_threshold, 'independent-consistent'
-    when p >= p_threshold and |corr| <= corr_threshold, else
-    'inconclusive'.
+    when p >= p_threshold and |corr| <= CORR_THRESHOLD, else
+    'inconclusive'.  At least MIN_SAMPLES samples are required.
     """
     occ = collect_joint(samples, pair)
     n = occ.total
-    if n < min_samples:
-        raise ValueError(f"need at least {min_samples} samples, got {n:g}")
+    if n < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n:g}")
     ma, mb = occ.marginals
     rows = _pool_bins(ma, n)
     cols = _pool_bins(mb, n)
@@ -244,7 +234,7 @@ def independence_test(
     corr = occ.correlation()
     if dof > 0 and p < p_threshold:
         verdict = "dependent"
-    elif abs(corr) <= corr_threshold:
+    elif abs(corr) <= CORR_THRESHOLD:
         verdict = "independent-consistent"
     else:
         verdict = "inconclusive"
@@ -267,11 +257,9 @@ def stationary_mix(spec: NetworkSpec, polytope: CapacityPolytope) -> np.ndarray:
     """Per-queue route composition a_r / a_j (zero off route), the
     composition that minimizes the rate function for fixed queue sizes."""
     loads = compute_loads(spec, polytope)
-    mix = np.zeros((spec.n_queues, spec.n_routes))
-    rates = spec.rates()
-    for i, r in enumerate(spec.routes):
-        for j in r.path:
-            mix[j, i] = rates[i] / loads.queue_loads[j]
+    on_route = spec.next_hop[:-1] != -2
+    mix = np.zeros(on_route.shape)
+    np.divide(spec.rates(), loads.queue_loads[:, None], out=mix, where=on_route)
     return mix
 
 
@@ -299,10 +287,7 @@ class CompositionProfile:
             raise ValueError("breakpoints must be nondecreasing")
         if np.any(mx < -1e-12):
             raise ValueError("compositions must be nonnegative")
-        on_route = np.zeros((spec.n_queues, spec.n_routes), dtype=bool)
-        for i, r in enumerate(spec.routes):
-            for j in r.path:
-                on_route[j, i] = True
+        on_route = spec.next_hop[:-1] != -2
         if np.any(mx[:, ~on_route] > 1e-12):
             raise ValueError("composition puts mass on a route missing the queue")
         grows = np.diff(bp, axis=0) > 1e-12

@@ -118,9 +118,10 @@ def _provenance(doc: dict, seeds) -> dict:
 
 
 # -------------------- per-kind runners --------------------
+# each returns the CSV header, the rows and the kind's own summary entries
 
 
-def _run_analyze(cfg: ExperimentConfig) -> ResultBundle:
+def _run_analyze(cfg: ExperimentConfig) -> tuple:
     loads = compute_loads(cfg.spec, cfg.polytope)
     rows = []
     for j in range(cfg.spec.n_queues):
@@ -128,7 +129,6 @@ def _run_analyze(cfg: ExperimentConfig) -> ResultBundle:
     for l in range(cfg.polytope.n_pools):
         rows.append(("pool-load", cfg.polytope.pool_labels[l], float(loads.pool_loads[l])))
     summary = {
-        "network": cfg.network_name or "inline",
         "admissible": loads.admissible,
         "max_pool_load": float(loads.pool_loads.max()),
     }
@@ -143,13 +143,7 @@ def _run_analyze(cfg: ExperimentConfig) -> ResultBundle:
             delays[r.id] = float(d)
         summary["mean_queues"] = [float(v) for v in eq]
         summary["route_delays"] = delays
-    return ResultBundle(
-        kind="analyze",
-        header=("section", "id", "value"),
-        rows=tuple(rows),
-        summary=summary,
-        provenance=_provenance(cfg.document, cfg.seeds),
-    )
+    return ("section", "id", "value"), rows, summary
 
 
 def _one_replication(doc_json: str, seed: int):
@@ -196,7 +190,7 @@ def _fan_out(cfg: ExperimentConfig):
     return results
 
 
-def _run_simulate(cfg: ExperimentConfig) -> ResultBundle:
+def _run_simulate(cfg: ExperimentConfig) -> tuple:
     results = _fan_out(cfg)
     rows = []
     per_seed = {}
@@ -205,7 +199,6 @@ def _run_simulate(cfg: ExperimentConfig) -> ResultBundle:
             rows.append((seed, name, rid, float(value), float(stderr), n))
         per_seed[str(seed)] = summary
     summary = {
-        "network": cfg.network_name or "inline",
         "engine": cfg.engine,
         "horizon": cfg.sim.horizon,
         "replications": per_seed,
@@ -213,13 +206,7 @@ def _run_simulate(cfg: ExperimentConfig) -> ResultBundle:
     qm = np.array([[s["queue_means"][j] for j in range(cfg.spec.n_queues)]
                    for s in per_seed.values()])
     summary["queue_means_pooled"] = [float(v) for v in qm.mean(axis=0)]
-    return ResultBundle(
-        kind="simulate",
-        header=("seed", "metric", "id", "value", "stderr", "n"),
-        rows=tuple(rows),
-        summary=summary,
-        provenance=_provenance(cfg.document, cfg.seeds),
-    )
+    return ("seed", "metric", "id", "value", "stderr", "n"), rows, summary
 
 
 def _pooled(values, ses):
@@ -230,7 +217,7 @@ def _pooled(values, ses):
     return mean, se
 
 
-def _run_compare(cfg: ExperimentConfig) -> ResultBundle:
+def _run_compare(cfg: ExperimentConfig) -> tuple:
     loads = compute_loads(cfg.spec, cfg.polytope)
     if not loads.admissible:
         raise NetworkValidationError(
@@ -259,7 +246,6 @@ def _run_compare(cfg: ExperimentConfig) -> ResultBundle:
         worst = max(worst, z)
         rows.append(("route-delay", r.id, float(ana), sim, se, z))
     summary = {
-        "network": cfg.network_name or "inline",
         "engine": cfg.engine,
         "horizon": cfg.sim.horizon,
         "replications": len(reps),
@@ -267,16 +253,10 @@ def _run_compare(cfg: ExperimentConfig) -> ResultBundle:
         "note": "z compares simulated means to closed-form targets; "
         "the closed forms describe the store-forward chain",
     }
-    return ResultBundle(
-        kind="compare",
-        header=("quantity", "id", "analytic", "simulated", "stderr", "abs_z"),
-        rows=tuple(rows),
-        summary=summary,
-        provenance=_provenance(cfg.document, cfg.seeds),
-    )
+    return ("quantity", "id", "analytic", "simulated", "stderr", "abs_z"), rows, summary
 
 
-def _run_independence(cfg: ExperimentConfig) -> ResultBundle:
+def _run_independence(cfg: ExperimentConfig) -> tuple:
     blocks = []
     for seed in cfg.seeds:
         sampler = StationarySampler(cfg.spec, cfg.polytope, seed=seed)
@@ -298,22 +278,16 @@ def _run_independence(cfg: ExperimentConfig) -> ResultBundle:
             "verdict": rep.verdict,
         }
     summary = {
-        "network": cfg.network_name or "inline",
         "samples_per_seed": cfg.samples,
         "total_samples": int(samples.shape[0]),
         "pairs": reports,
     }
-    return ResultBundle(
-        kind="independence",
-        header=("queue_a", "queue_b", "shares_pool", "correlation", "chi_square",
-                "dof", "p_value", "verdict", "n"),
-        rows=tuple(rows),
-        summary=summary,
-        provenance=_provenance(cfg.document, cfg.seeds),
-    )
+    header = ("queue_a", "queue_b", "shares_pool", "correlation", "chi_square",
+              "dof", "p_value", "verdict", "n")
+    return header, rows, summary
 
 
-def _run_ldp(cfg: ExperimentConfig) -> ResultBundle:
+def _run_ldp(cfg: ExperimentConfig) -> tuple:
     Q = np.asarray(cfg.queue_vector, dtype=int)
     diag = log_norm_const_scaling(Q, cfg.polytope, cfg.scales)
     mix = stationary_mix(cfg.spec, cfg.polytope)
@@ -324,23 +298,16 @@ def _run_ldp(cfg: ExperimentConfig) -> ResultBundle:
         for c, v, g in zip(diag.scales, diag.values, diag.gaps)
     ]
     summary = {
-        "network": cfg.network_name or "inline",
         "queue_vector": list(cfg.queue_vector),
         "target": float(diag.target),
         "last_gap": float(diag.last_gap),
         "gaps_decreasing": bool(diag.decreasing),
         "rate_at_stationary_mix": float(rate),
     }
-    return ResultBundle(
-        kind="ldp",
-        header=("scale", "scaled_log_weight_sum", "target", "gap"),
-        rows=tuple(rows),
-        summary=summary,
-        provenance=_provenance(cfg.document, cfg.seeds),
-    )
+    return ("scale", "scaled_log_weight_sum", "target", "gap"), rows, summary
 
 
-def _run_balance(cfg: ExperimentConfig) -> ResultBundle:
+def _run_balance(cfg: ExperimentConfig) -> tuple:
     rows = []
     overall = 0.0
     by_seed = {}
@@ -351,18 +318,11 @@ def _run_balance(cfg: ExperimentConfig) -> ResultBundle:
         rows.append((seed, len(reports), float(flux)))
         by_seed[str(seed)] = {"max_flux_residual": float(flux)}
     summary = {
-        "network": cfg.network_name or "inline",
         "checks_per_seed": cfg.checks,
         "max_residual": float(overall),
         "seeds": by_seed,
     }
-    return ResultBundle(
-        kind="balance",
-        header=("seed", "checks", "max_flux_residual"),
-        rows=tuple(rows),
-        summary=summary,
-        provenance=_provenance(cfg.document, cfg.seeds),
-    )
+    return ("seed", "checks", "max_flux_residual"), rows, summary
 
 
 def _run_examples() -> ResultBundle:
@@ -411,7 +371,14 @@ def run(config_path: str, kind: str | None = None, overrides=(), seed=None,
     if out_dir is not None:
         doc["out"] = out_dir
     cfg = parse_config(doc)
-    bundle = _RUNNERS[cfg.kind](cfg)
+    header, rows, summary = _RUNNERS[cfg.kind](cfg)
+    bundle = ResultBundle(
+        kind=cfg.kind,
+        header=header,
+        rows=tuple(rows),
+        summary={"network": cfg.network_name or "inline", **summary},
+        provenance=_provenance(cfg.document, cfg.seeds),
+    )
     if cfg.out_dir:
         bundle.write(cfg.out_dir)
     return bundle

@@ -88,13 +88,18 @@ def config_hash(doc: dict) -> str:
     return hashlib.sha256(canonical_json(core).encode("utf-8")).hexdigest()
 
 
+def _of_type(val, types) -> bool:
+    """isinstance, except that a JSON true or false is never an int."""
+    return isinstance(val, types) and not isinstance(val, bool)
+
+
 def _expect(doc, key, types, path, required=True, default=None):
     if key not in doc:
         if required:
             raise ConfigError(f"{path}.{key}" if path else key, "required field is missing")
         return default
     val = doc[key]
-    if types is not None and not isinstance(val, types):
+    if types is not None and not _of_type(val, types):
         want = "/".join(t.__name__ for t in types) if isinstance(types, tuple) else types.__name__
         raise ConfigError(f"{path}.{key}" if path else key, f"expected {want}")
     return val
@@ -103,8 +108,6 @@ def _number(doc, key, path, required=True, default=None, positive=False):
     val = _expect(doc, key, (int, float), path, required, default)
     if val is None:
         return None
-    if isinstance(val, bool):
-        raise ConfigError(f"{path}.{key}" if path else key, "expected a number")
     if positive and val <= 0:
         raise ConfigError(f"{path}.{key}" if path else key, "must be positive")
     return val
@@ -120,7 +123,7 @@ def _parse_routes(raw, path):
             raise ConfigError(rp, "expected an object with id/path/rate")
         rid = _expect(r, "id", str, rp, required=False, default=f"r{i}")
         hops = _expect(r, "path", list, rp)
-        if not hops or not all(isinstance(h, int) and not isinstance(h, bool) for h in hops):
+        if not hops or not all(_of_type(h, int) for h in hops):
             raise ConfigError(f"{rp}.path", "expected a nonempty list of queue indices")
         rate = _number(r, "rate", rp, positive=True)
         routes.append(Route(id=rid, path=tuple(hops), rate=float(rate)))
@@ -195,7 +198,7 @@ def _parse_pairs(raw, n, path):
         raise ConfigError(path, "expected a list of [queue, queue] pairs")
     for i, p in enumerate(raw):
         if (not isinstance(p, (list, tuple)) or len(p) != 2
-                or not all(isinstance(x, int) and not isinstance(x, bool) for x in p)):
+                or not all(_of_type(x, int) for x in p)):
             raise ConfigError(f"{path}[{i}]", "expected a [queue, queue] pair")
         j, k = p
         if not (0 <= j < n and 0 <= k < n) or j == k:
@@ -206,13 +209,13 @@ def _parse_pairs(raw, n, path):
 
 def _parse_seeds(doc):
     raw = doc.get("seeds", [0])
-    if isinstance(raw, int) and not isinstance(raw, bool):
+    if _of_type(raw, int):
         raw = [raw]
     if not isinstance(raw, list) or not raw:
         raise ConfigError("seeds", "expected a nonempty list of integers")
     seeds = []
     for i, s in enumerate(raw):
-        if not isinstance(s, int) or isinstance(s, bool) or not 0 <= s < _U64:
+        if not _of_type(s, int) or not 0 <= s < _U64:
             raise ConfigError(f"seeds[{i}]", "seeds are unsigned 64-bit integers")
         seeds.append(s)
     return tuple(seeds)
@@ -251,7 +254,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     initial = sim.get("initial")
     if initial is not None:
         if (not isinstance(initial, list) or len(initial) != spec.n_queues
-                or not all(isinstance(x, int) and not isinstance(x, bool) and x >= 0 for x in initial)):
+                or not all(_of_type(x, int) and x >= 0 for x in initial)):
             raise ConfigError("sim.initial", f"expected {spec.n_queues} nonnegative integers")
         initial = tuple(initial)
 
@@ -277,13 +280,13 @@ def parse_config(doc: dict) -> ExperimentConfig:
             raise ConfigError("ldp.queue_vector", "required field is missing")
         qv = ldp["queue_vector"]
         if (not isinstance(qv, list) or len(qv) != spec.n_queues
-                or not all(isinstance(x, int) and not isinstance(x, bool) and x >= 0 for x in qv)):
+                or not all(_of_type(x, int) and x >= 0 for x in qv)):
             raise ConfigError("ldp.queue_vector", f"expected {spec.n_queues} nonnegative integers")
         queue_vector = tuple(qv)
         if "scales" in ldp:
             sc = ldp["scales"]
             if (not isinstance(sc, list) or not sc
-                    or not all(isinstance(x, int) and not isinstance(x, bool) and x >= 1 for x in sc)):
+                    or not all(_of_type(x, int) and x >= 1 for x in sc)):
                 raise ConfigError("ldp.scales", "expected a nonempty list of integers >= 1")
             scales = tuple(sc)
 

@@ -23,6 +23,11 @@ class CapExceededError(RuntimeError):
     """An enumeration size cap was exceeded."""
 
 
+# vertex caps of the exponential enumerations
+SCHEDULE_CAP = 24
+PERFECTION_CAP = 16
+
+
 # -------------------- basic types --------------------
 
 
@@ -50,7 +55,10 @@ class Route:
 
 @dataclass(frozen=True)
 class InterferenceGraph:
-    """Undirected conflict graph on queues: an edge means 'cannot serve together'."""
+    """Undirected conflict graph on queues: an edge means 'cannot serve together'.
+
+    ``adj[v]`` is the bitmask of v's neighbours, derived once from the edges.
+    """
 
     n: int
     edges: frozenset[tuple[int, int]]
@@ -59,6 +67,7 @@ class InterferenceGraph:
         if self.n <= 0:
             raise NetworkValidationError("interference graph needs at least one vertex")
         norm = set()
+        adj = [0] * self.n
         for e in self.edges:
             u, v = int(e[0]), int(e[1])
             if u == v:
@@ -66,7 +75,10 @@ class InterferenceGraph:
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise NetworkValidationError(f"edge {e} out of range for n={self.n}")
             norm.add((min(u, v), max(u, v)))
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
         object.__setattr__(self, "edges", frozenset(norm))
+        object.__setattr__(self, "adj", tuple(adj))
 
     @classmethod
     def from_edges(cls, n: int, pairs) -> "InterferenceGraph":
@@ -76,20 +88,14 @@ class InterferenceGraph:
         return (min(u, v), max(u, v)) in self.edges
 
     def neighbors(self, v: int) -> set[int]:
-        out = set()
-        for a, b in self.edges:
-            if a == v:
-                out.add(b)
-            elif b == v:
-                out.add(a)
-        return out
+        return {u for u in range(self.n) if self.adj[v] >> u & 1}
 
     def complement(self) -> "InterferenceGraph":
         comp = [
             (u, v)
             for u in range(self.n)
             for v in range(u + 1, self.n)
-            if (u, v) not in self.edges
+            if not self.adj[u] >> v & 1
         ]
         return InterferenceGraph.from_edges(self.n, comp)
 
@@ -142,6 +148,13 @@ class NetworkSpec:
 
     ``capacity`` is a CapacityPolytope, an InterferenceGraph, or an explicit
     integer schedule array of shape (n_schedules, n_queues).
+
+    The route structure is derived once, as two read-only arrays:
+    ``next_hop[j, r]`` is the queue route r visits after queue j, -1 when j
+    is its last hop and -2 when the route misses j; the extra row
+    ``next_hop[-1]`` holds each route's first queue, so an arrival is a hop
+    from -1.  ``queue_loads[j]`` is a_j, the summed rate of the routes
+    through j, added in route order.
     """
 
     n_queues: int
@@ -154,7 +167,9 @@ class NetworkSpec:
             raise NetworkValidationError("need at least one queue")
         object.__setattr__(self, "routes", tuple(self.routes))
         seen = set()
-        for r in self.routes:
+        hop = np.full((self.n_queues + 1, len(self.routes)), -2, dtype=np.int64)
+        loads = np.zeros(self.n_queues)
+        for i, r in enumerate(self.routes):
             if r.id in seen:
                 raise NetworkValidationError(f"duplicate route id {r.id!r}")
             seen.add(r.id)
@@ -163,6 +178,12 @@ class NetworkSpec:
                     raise NetworkValidationError(
                         f"route {r.id!r} references queue {j}, valid range is 0..{self.n_queues - 1}"
                     )
+            hop[(-1,) + r.path, i] = r.path + (-1,)
+            loads[list(r.path)] += r.rate
+        hop.setflags(write=False)
+        loads.setflags(write=False)
+        object.__setattr__(self, "next_hop", hop)
+        object.__setattr__(self, "queue_loads", loads)
         labels = self.queue_labels
         if not labels:
             labels = tuple(f"q{j}" for j in range(self.n_queues))
@@ -209,10 +230,10 @@ class NetworkSpec:
             "supply a pool matrix or an interference graph"
         )
 
-    def schedule_list(self, max_vertices: int = 24) -> np.ndarray:
+    def schedule_list(self) -> np.ndarray:
         cap = self.capacity
         if isinstance(cap, InterferenceGraph):
-            return enumerate_schedules(cap, max_vertices=max_vertices)
+            return enumerate_schedules(cap)
         if isinstance(cap, CapacityPolytope):
             raise NetworkValidationError(
                 "schedule enumeration needs an interference graph or an explicit "
@@ -240,13 +261,9 @@ def compute_loads(spec: NetworkSpec, polytope: CapacityPolytope) -> LoadProfile:
         raise NetworkValidationError(
             f"dimension mismatch: polytope has {polytope.n_queues} queues, spec has {spec.n_queues}"
         )
-    a_q = np.zeros(spec.n_queues)
-    for r in spec.routes:
-        for j in r.path:
-            a_q[j] += r.rate
-    a_p = polytope.matrix @ a_q
+    a_p = polytope.matrix @ spec.queue_loads
     ok = bool(np.all(a_p < 1.0))
-    return LoadProfile(queue_loads=a_q, pool_loads=a_p, admissible=ok)
+    return LoadProfile(queue_loads=spec.queue_loads, pool_loads=a_p, admissible=ok)
 
 
 def _bron_kerbosch(adj: list[set[int]], r: set, p: set, x: set, out: list):
@@ -280,21 +297,18 @@ def cliques_to_polytope(graph: InterferenceGraph) -> CapacityPolytope:
     return CapacityPolytope(matrix=a, pool_labels=tuple(labels))
 
 
-def enumerate_schedules(graph: InterferenceGraph, max_vertices: int = 24) -> np.ndarray:
+def enumerate_schedules(graph: InterferenceGraph) -> np.ndarray:
     """All independent sets of the graph as 0/1 rows, lexicographically sorted.
 
     Includes the empty schedule.  Raises CapExceededError beyond
-    ``max_vertices`` vertices because the list can grow exponentially.
+    ``SCHEDULE_CAP`` vertices because the list can grow exponentially.
     """
     n = graph.n
-    if n > max_vertices:
+    if n > SCHEDULE_CAP:
         raise CapExceededError(
-            f"schedule enumeration capped at {max_vertices} vertices, graph has {n}"
+            f"schedule enumeration capped at {SCHEDULE_CAP} vertices, graph has {n}"
         )
-    adj_mask = [0] * n
-    for u, v in graph.edges:
-        adj_mask[u] |= 1 << v
-        adj_mask[v] |= 1 << u
+    adj_mask = graph.adj
     rows: list[list[int]] = []
 
     def rec(v: int, mask: int, row: list[int]):
@@ -317,10 +331,7 @@ def _has_induced_odd_hole(graph: InterferenceGraph) -> bool:
     # scan all odd vertex subsets of size >= 5 for an induced chordless cycle;
     # a connected 2-regular induced subgraph is exactly such a cycle
     n = graph.n
-    adj_mask = [0] * n
-    for u, v in graph.edges:
-        adj_mask[u] |= 1 << v
-        adj_mask[v] |= 1 << u
+    adj_mask = graph.adj
     verts = range(n)
     for k in range(5, n + 1, 2):
         for subset in itertools.combinations(verts, k):
@@ -350,12 +361,12 @@ def _has_induced_odd_hole(graph: InterferenceGraph) -> bool:
     return False
 
 
-def is_perfect(graph: InterferenceGraph, max_vertices: int = 16) -> bool:
+def is_perfect(graph: InterferenceGraph) -> bool:
     """Exact perfection test: no induced odd cycle of length >= 5 in the graph
-    or in its complement.  Brute force, capped at ``max_vertices``."""
-    if graph.n > max_vertices:
+    or in its complement.  Brute force, capped at ``PERFECTION_CAP`` vertices."""
+    if graph.n > PERFECTION_CAP:
         raise CapExceededError(
-            f"perfection test capped at {max_vertices} vertices, graph has {graph.n}"
+            f"perfection test capped at {PERFECTION_CAP} vertices, graph has {graph.n}"
         )
     if _has_induced_odd_hole(graph):
         return False

@@ -29,6 +29,12 @@ from .normconst import NormConstCache
 from .storeforward import store_forward_rates
 
 
+# interior-point iteration cap, and the largest miss a lottery's mean may
+# show against its target
+MAX_ITER = 200
+LOTTERY_TOL = 1e-8
+
+
 class InfeasibleTargetError(ValueError):
     """The lottery over the given schedules does not reach the target mean."""
 
@@ -50,7 +56,7 @@ class PropFairSolution:
     converged: bool
 
 
-def _interior_point(q, A, max_iter):
+def _interior_point(q, A):
     """Pool prices of max sum q_j log s_j s.t. A s <= 1 by a primal-dual
     interior-point method with Mehrotra's predictor-corrector.
 
@@ -79,7 +85,7 @@ def _interior_point(q, A, max_iter):
         # largest step in (0, 1] keeping x + step * dx >= 0
         return min(1.0, -1.0 / min(float(np.min(dx / x)), -1.0))
 
-    for it in range(max_iter + 1):
+    for it in range(MAX_ITER + 1):
         y = A.T @ p
         r_d = q / s - y
         r_p = 1.0 - A @ s - w
@@ -90,7 +96,7 @@ def _interior_point(q, A, max_iter):
             stale = 0
         else:
             stale += 1
-        if best <= 1e-12 or (best <= 1e-8 and stale >= 3) or it == max_iter:
+        if best <= 1e-12 or (best <= 1e-8 and stale >= 3) or it == MAX_ITER:
             break
         d = p / w
         factor, info = lapack.dpotrf((A.T * d) @ A + np.diag(y / s), lower=1)
@@ -126,7 +132,6 @@ def solve_prop_fair(
     Q,
     polytope: CapacityPolytope,
     tol: float = 1e-8,
-    max_iter: int = 200,
 ) -> PropFairSolution:
     """Proportionally fair allocation for queue vector Q.
 
@@ -154,7 +159,7 @@ def solve_prop_fair(
     A = A_act[rows]
     n_pools = len(rows)
 
-    p, iters = _interior_point(q, A, max_iter)
+    p, iters = _interior_point(q, A)
     res, c = _price_residual(p, A, q)
 
     # ---- active-set Newton polish ----
@@ -287,7 +292,7 @@ class ScheduleDistribution:
         return self.schedules[min(k, len(self.schedules) - 1)]
 
 
-def decompose_mean(target, schedules, tol: float = 1e-8) -> ScheduleDistribution:
+def decompose_mean(target, schedules) -> ScheduleDistribution:
     """Express ``target`` as the mean of a lottery over ``schedules``.
 
     A Carathéodory peel on the clique polytope of the list: two queues
@@ -302,7 +307,7 @@ def decompose_mean(target, schedules, tol: float = 1e-8) -> ScheduleDistribution
     of every remainder is the hull of listed schedules (Chvátal 1975), so
     the peel always succeeds.  InfeasibleTargetError is raised when no
     listed schedule lies on the face, or when the lottery's mean misses
-    the target by more than ``tol``.
+    the target by more than ``LOTTERY_TOL``.
     """
     S = np.asarray(schedules, dtype=float)
     if S.ndim != 2:
@@ -335,7 +340,7 @@ def decompose_mean(target, schedules, tol: float = 1e-8) -> ScheduleDistribution
         mass = mass - step if mass - step >= 1e-12 else 0.0
     sched, prob = S[picked], np.array(prob) / sum(prob)
     miss = float(np.max(np.abs(prob @ sched - t), initial=0.0))
-    if not miss <= tol:
+    if not miss <= LOTTERY_TOL:
         raise InfeasibleTargetError(f"target {t}: the peeled lottery misses it by {miss:.3g}")
     order = np.lexsort(sched.T[::-1])
     return ScheduleDistribution(schedules=sched[order], probabilities=prob[order])

@@ -17,24 +17,16 @@ from .metrics import JOINT_CAP, SimConfig, TraceMetrics, batch_se
 from .model import CapacityPolytope, NetworkSpec, NetworkValidationError, compute_loads
 from .normconst import NormConstCache
 from .propfair import decompose_mean, solve_prop_fair
-from .storeforward import store_forward_rates
+from .storeforward import draw_route_labels, route_label_law, store_forward_rates
 
 _BLOCK = 1 << 16
 
 
-def _route_maps(spec: NetworkSpec):
-    """first hop per route, and next_hop[r][j] = queue after j on route r
-    (-1 when j is the last hop)."""
-    first = [r.path[0] for r in spec.routes]
-    nxt = [dict(zip(r.path, r.path[1:] + (-1,))) for r in spec.routes]
-    return first, nxt
-
-
 def _initial_state(spec: NetworkSpec, initial, rng):
     """Per-queue FIFOs of (route, arrival time) and per-(queue, route)
-    counts for a prescribed starting occupancy.  Labels are drawn with
-    probability proportional to route rate among routes through the queue,
-    matching the stationary composition; starting packets arrive at -1."""
+    counts for a prescribed starting occupancy.  Labels are drawn from the
+    stationary composition, as the exact sampler draws them; starting
+    packets arrive at -1."""
     J = spec.n_queues
     fifo = [deque() for _ in range(J)]
     X = np.zeros((J, spec.n_routes), dtype=np.int64)
@@ -43,16 +35,13 @@ def _initial_state(spec: NetworkSpec, initial, rng):
     init = np.asarray(initial, dtype=np.int64)
     if init.shape != (J,) or np.any(init < 0):
         raise ValueError("initial occupancy must be a nonnegative vector per queue")
-    rates = spec.rates()
-    for j in range(J):
-        if init[j] == 0:
-            continue
-        ids = [i for i, r in enumerate(spec.routes) if j in r.path]
-        if not ids:
-            raise ValueError(f"queue {j} has initial packets but no route serves it")
-        for k in rng.choice(len(ids), size=int(init[j]), p=rates[ids] / rates[ids].sum()):
-            fifo[j].append((ids[k], -1.0))
-            X[j, ids[k]] += 1
+    idle = np.flatnonzero((init > 0) & (spec.queue_loads == 0))
+    if idle.size:
+        raise ValueError(f"queue {idle[0]} has initial packets but no route serves it")
+    for j, labels in enumerate(draw_route_labels(route_label_law(spec), init, rng)):
+        for r in labels:
+            fifo[j].append((r, -1.0))
+            X[j, r] += 1
     return fifo, X
 
 
@@ -176,7 +165,8 @@ def simulate_store_forward(
     horizon = float(cfg.horizon)
     warm = cfg.warmup_fraction * horizon
     col = _Collector(spec, cfg, horizon, warm)
-    first, nxt = _route_maps(spec)
+    hop = spec.next_hop.tolist()
+    first = hop[-1]
     rng = np.random.default_rng(cfg.seed)
     if phi_cache is None:
         phi_cache = NormConstCache(polytope)
@@ -268,7 +258,7 @@ def simulate_store_forward(
                     X[j][r] -= 1
                     if t >= warm:
                         col.comp[j, r] += 1
-                    k = nxt[r][j]
+                    k = hop[j][r]
                     if k >= 0:
                         fifo[k].append((r, t_arr))
                         Q[k] += 1
@@ -303,7 +293,8 @@ def _slotted_run(spec, cfg, serve_fn, kind, initial, transient):
     warm_slots = int(cfg.warmup_fraction * horizon)
     col = _Collector(spec, cfg, float(horizon), float(warm_slots))
     col.span = max((horizon - warm_slots) / cfg.batches, 1e-12)
-    first, nxt = _route_maps(spec)
+    hop = spec.next_hop.tolist()
+    first = hop[-1]
     rng = np.random.default_rng(cfg.seed)
     fifo, X = _initial_state(spec, initial, rng)
     Q = X.sum(axis=1).tolist()
@@ -331,7 +322,7 @@ def _slotted_run(spec, cfg, serve_fn, kind, initial, transient):
                 X[j, r] -= n
                 if slot >= warm_slots:
                     col.comp[j, r] += n
-                k = nxt[r][j]
+                k = hop[j][r]
                 if k >= 0:
                     fifo[k].extend((r, a) for a in arr_slots)
                     Q[k] += n
@@ -421,13 +412,8 @@ def simulate_backpressure(
     order_ix = np.lexsort(S.T[::-1])
     S = S[order_ix]
     J, R = spec.n_queues, spec.n_routes
-    # downstream queue per (queue, route): -1 means "past the last hop"
-    down = -np.ones((J, R), dtype=np.int64)
-    on_route = np.zeros((J, R), dtype=bool)
-    for i, r in enumerate(spec.routes):
-        for pos, j in enumerate(r.path):
-            on_route[j, i] = True
-            down[j, i] = r.path[pos + 1] if pos + 1 < len(r.path) else -1
+    down = spec.next_hop[:-1]
+    on_route = down != -2
     try:
         pol = polytope if polytope is not None else spec.capacity_polytope()
         transient = not compute_loads(spec, pol).admissible

@@ -53,7 +53,7 @@ def _validate_fifo(Q, fifo, spec: NetworkSpec):
         for r in content:
             if not (0 <= r < spec.n_routes):
                 raise ValueError(f"queue {j}: unknown route index {r}")
-            if j not in spec.routes[r].path:
+            if spec.next_hop[j, r] == -2:
                 raise ValueError(
                     f"queue {j}: route {spec.routes[r].id!r} does not pass through it"
                 )
@@ -101,6 +101,23 @@ def stationary_normalizer(loads: LoadProfile) -> float:
 # -------------------- exact sampler --------------------
 
 
+def route_label_law(spec: NetworkSpec):
+    """Per queue: the ids of the routes through it and the stationary
+    probability a_r / a_j of each as the label of a packet there."""
+    rates = spec.rates()
+    return [(ids, rates[ids] / rates[ids].sum())
+            for ids in map(np.flatnonzero, spec.next_hop[:-1] != -2)]
+
+
+def draw_route_labels(law, Q, rng):
+    """FIFO route labels for queue vector Q, i.i.d. per packet from the
+    ``route_label_law``: the stationary composition of every queue."""
+    return tuple(
+        tuple(ids[rng.choice(len(ids), size=int(q), p=probs)].tolist()) if q > 0 else ()
+        for (ids, probs), q in zip(law, Q)
+    )
+
+
 class StationarySampler:
     """Draws exact stationary states: independent geometric pool occupancies,
     multinomial splits over member queues, i.i.d. route labels per queue."""
@@ -125,11 +142,7 @@ class StationarySampler:
                 continue
             probs = np.array([A[l, j] * a_q[j] / a_l for j in members])
             self._pools.append((a_l, members, probs))
-        self._queue_routes = []
-        for j in range(spec.n_queues):
-            ids = [i for i, r in enumerate(spec.routes) if j in r.path]
-            w = np.array([spec.routes[i].rate for i in ids])
-            self._queue_routes.append((ids, w / w.sum() if len(ids) else w))
+        self._labels = route_label_law(spec)
 
     def sample_queues(self, n: int) -> np.ndarray:
         """n exact stationary queue vectors, shape (n, n_queues)."""
@@ -144,17 +157,7 @@ class StationarySampler:
     def sample_state(self):
         """One exact stationary state: (queue vector, FIFO route labels)."""
         q = self.sample_queues(1)[0]
-        fifo = []
-        for j in range(self.spec.n_queues):
-            ids, probs = self._queue_routes[j]
-            if q[j] > 0 and not ids:
-                raise RuntimeError(f"queue {j} occupied but no route passes through it")
-            if q[j] > 0:
-                picks = self.rng.choice(len(ids), size=int(q[j]), p=probs)
-                fifo.append(tuple(ids[k] for k in picks))
-            else:
-                fifo.append(())
-        return q, tuple(fifo)
+        return q, draw_route_labels(self._labels, q, self.rng)
 
 
 def sample_stationary_state(spec, polytope, seed=None):

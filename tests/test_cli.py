@@ -213,6 +213,20 @@ def test_main_exit_codes(tmp_path, capsys):
         assert main(["simulate", "--config", bad]) == 2
         assert "error: sim: " in capsys.readouterr().err
 
+    # a JSON true is not an integer, wherever the config asks for one
+    inline = {"queues": 1, "routes": [{"path": [0], "rate": 0.5}], "capacity": {"matrix": [[1.0]]}}
+    for command, field, doc in (
+        ("analyze", "network.queues", {"network": {**inline, "queues": True}}),
+        ("simulate", "sim.checkpoints", {"network": "tandem", "sim": {"checkpoints": True}}),
+        ("simulate", "sim.batches", {"network": "tandem", "sim": {"batches": True}}),
+        ("independence", "independence.samples",
+         {"network": "tandem", "independence": {"pairs": [[0, 1]], "samples": True}}),
+        ("balance", "balance.checks", {"network": "tandem", "balance": {"checks": True}}),
+    ):
+        bad = _write(tmp_path, doc, name=f"bool-{field}.json")
+        assert main([command, "--config", bad]) == 2
+        assert f"error: {field}: " in capsys.readouterr().err
+
 
 def test_main_examples_subcommand(capsys):
     assert main(["examples"]) == 0

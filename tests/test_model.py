@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from switchnet.model import (
     CapacityPolytope,
@@ -44,6 +46,37 @@ def test_spec_validation():
         )
     with pytest.raises(NetworkValidationError):
         NetworkSpec(n_queues=3, routes=[Route(id="r", path=(0,), rate=0.1)], capacity=poly)
+
+
+@st.composite
+def _route_sets(draw):
+    J = draw(st.integers(1, 6))
+    path = st.permutations(range(J)).flatmap(
+        lambda p: st.integers(1, J).map(lambda k: tuple(p[:k])))
+    paths = draw(st.lists(path, min_size=1, max_size=6))
+    rates = draw(st.lists(st.floats(1e-3, 10.0), min_size=len(paths), max_size=len(paths)))
+    return J, [Route(id=f"r{i}", path=p, rate=a) for i, (p, a) in enumerate(zip(paths, rates))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_route_sets())
+def test_route_table_matches_paths(route_set):
+    J, routes = route_set
+    spec = NetworkSpec(n_queues=J, routes=routes, capacity=CapacityPolytope(np.eye(J)))
+    assert spec.next_hop.shape == (J + 1, len(routes))
+    loads = [0.0] * J
+    for i, r in enumerate(routes):
+        for j in range(J):
+            if j not in r.path:
+                assert spec.next_hop[j, i] == -2
+            elif j == r.path[-1]:
+                assert spec.next_hop[j, i] == -1
+            else:
+                assert spec.next_hop[j, i] == r.path[r.path.index(j) + 1]
+        assert spec.next_hop[-1, i] == r.path[0]
+        for j in r.path:
+            loads[j] += r.rate
+    assert spec.queue_loads.tolist() == loads
 
 
 def test_polytope_validation():
@@ -173,7 +206,7 @@ def test_schedules_downward_closed(cycle4):
 def test_schedules_cap():
     g = InterferenceGraph.from_edges(30, [(0, 1)])
     with pytest.raises(CapExceededError):
-        enumerate_schedules(g, max_vertices=24)
+        enumerate_schedules(g)
 
 
 def test_perfect_flags():
@@ -199,7 +232,7 @@ def test_perfect_flags():
 def test_perfect_cap():
     g = InterferenceGraph.from_edges(20, [(0, 1)])
     with pytest.raises(CapExceededError):
-        is_perfect(g, max_vertices=16)
+        is_perfect(g)
 
 
 def _polytope_vertices(matrix):

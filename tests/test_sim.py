@@ -13,7 +13,11 @@ from switchnet.sim import (
     simulate_prop_sched,
     simulate_store_forward,
 )
-from switchnet.storeforward import expected_queue_lengths, expected_route_delay
+from switchnet.storeforward import (
+    StationarySampler,
+    expected_queue_lengths,
+    expected_route_delay,
+)
 
 
 def _mm1(rate=0.4):
@@ -103,6 +107,19 @@ def test_initial_state_conserved(tandem):
         spec, poly, SimConfig(horizon=3000, seed=9), initial=(40, 10)
     )
     assert tr.conservation_ok()
+
+
+def test_initial_fill_draws_the_sampler_labels(merge):
+    # the initial fill and the exact sampler share one stationary label draw
+    spec, poly = merge
+    q = np.array([3, 2, 5])
+    sampler = StationarySampler(spec, poly)
+    sampler.sample_queues = lambda n: q[None, :]
+    sampler.rng = np.random.default_rng(17)
+    _, labels = sampler.sample_state()
+    fifo, X = sim._initial_state(spec, q, np.random.default_rng(17))
+    assert tuple(tuple(r for r, _ in f) for f in fifo) == labels
+    assert X.sum(axis=1).tolist() == q.tolist()
 
 
 def test_checkpoints_recorded(merge):
