@@ -18,6 +18,7 @@ from .propfair import solve_prop_fair
 from .storeforward import (
     InadmissibleLoadError,
     StationarySampler,
+    _validate_fifo,
     store_forward_rates,
 )
 
@@ -63,7 +64,7 @@ def balance_check(
     queue.
     """
     Q, fifo = state
-    Q = np.asarray(Q, dtype=np.int64)
+    Q = _validate_fifo(Q, fifo, spec)
     loads = compute_loads(spec, polytope)
     if not loads.admissible:
         raise InadmissibleLoadError("balance checks need admissible loads")

@@ -161,6 +161,17 @@ def _parse_capacity(raw, n, path):
     return None, sched
 
 
+def _parse_labels(raw, n, path):
+    """Queue labels: absent for the defaults, else n distinct nonempty strings."""
+    if "queue_labels" not in raw:
+        return ()
+    labels = raw["queue_labels"]
+    if (not isinstance(labels, list) or len(labels) != n
+            or not all(isinstance(x, str) and x for x in labels) or len(set(labels)) != n):
+        raise ConfigError(f"{path}.queue_labels", f"expected a list of {n} distinct nonempty strings")
+    return tuple(labels)
+
+
 def _parse_network(raw, path="network"):
     """Returns (spec, polytope, graph, name)."""
     if isinstance(raw, str):
@@ -178,7 +189,7 @@ def _parse_network(raw, path="network"):
     routes = _parse_routes(_expect(raw, "routes", list, path), f"{path}.routes")
     cap_raw = _expect(raw, "capacity", dict, path)
     poly, extra = _parse_capacity(cap_raw, n, f"{path}.capacity")
-    labels = raw.get("queue_labels")
+    labels = _parse_labels(raw, n, path)
     if isinstance(extra, InterferenceGraph):
         capacity, graph = extra, extra
     elif poly is not None:

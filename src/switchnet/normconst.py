@@ -89,6 +89,8 @@ def _check_queue_vector(Q, n_queues: int) -> np.ndarray:
     q = np.asarray(Q)
     if q.shape != (n_queues,):
         raise ValueError(f"queue vector has shape {q.shape}, expected ({n_queues},)")
+    if q.dtype.kind == "i":
+        return q.astype(np.int64, copy=False)
     qi = q.astype(np.int64)
     if np.any(qi != q):
         raise ValueError("queue vector entries must be integers")
@@ -269,14 +271,14 @@ def _frontier_pass(Q: np.ndarray, polytope: CapacityPolytope, cache: NormConstCa
             cache.plans[active] = plan
 
     # every step's extents, checked against the cap before anything is built
-    sz = [v + 1 for v in q]
+    extent = [v + 1 for v in q].__getitem__
     dims = []
     n_var = 1
     for (_, banded, contract, fresh, fixed), _, pass_axes, axes, _ in plan:
-        p = math.prod([sz[a] for a in pass_axes])
-        b = math.prod([sz[j] for j in banded])
-        c = math.prod([sz[j] for j in contract])
-        f = math.prod([sz[j] for j in fresh])
+        p = math.prod(map(extent, pass_axes))
+        b = math.prod(map(extent, banded))
+        c = math.prod(map(extent, contract))
+        f = math.prod(map(extent, fresh))
         if neighbours:
             n_var += len(contract) + len(fixed)
         if max(b * b * c * f, n_var * p * b * max(c, f)) > _MAX_STEP_CELLS:
@@ -284,8 +286,8 @@ def _frontier_pass(Q: np.ndarray, polytope: CapacityPolytope, cache: NormConstCa
                 "normalizing-constant table too large for this queue vector; "
                 "reduce the vector or reorder pools"
             )
-        dims.append((p, b * c, tuple([sz[j] for j in banded + contract + fresh]),
-                     tuple([q[j] for j in fixed]), (-1,) + tuple([sz[a] for a in axes])))
+        dims.append((p, b * c, tuple(map(extent, banded + contract + fresh)),
+                     tuple(map(q.__getitem__, fixed)), (-1, *map(extent, axes))))
     if cache is not None:
         cache.passes += 1
 
@@ -350,9 +352,9 @@ def log_norm_const(Q, polytope: CapacityPolytope, cache: NormConstCache | None =
     """log Phi(Q) via sequential pool convolution; -inf if any entry is
     negative (the Phi = 0 convention)."""
     q = _check_queue_vector(Q, polytope.n_queues)
-    if np.any(q < 0):
+    key = tuple(q.tolist())
+    if min(key) < 0:
         return -math.inf
-    key = tuple(int(v) for v in q)
     if cache is not None:
         hit = cache.lookup(key)
         if hit is not None:
@@ -370,22 +372,22 @@ def log_norm_const_neighbours(
     pass; entries with Q_j = 0 are -inf (the Phi = 0 convention).  With a
     cache, all J + 1 values are looked up first and stored after."""
     q = _check_queue_vector(Q, polytope.n_queues)
-    J = len(q)
-    if np.any(q < 0):
-        return -math.inf, np.full(J, _NEG_INF)
-    key = tuple(int(v) for v in q)
-    down = [key[:j] + (key[j] - 1,) + key[j + 1:] if key[j] > 0 else None for j in range(J)]
+    key = tuple(q.tolist())
+    if min(key) < 0:
+        return -math.inf, np.full(len(key), _NEG_INF)
+    down = [key[:j] + (v - 1,) + key[j + 1:] if v > 0 else None for j, v in enumerate(key)]
     if cache is not None:
         base = cache.lookup(key)
-        hits = [cache.lookup(k) if k is not None else _NEG_INF for k in down]
-        if base is not None and None not in hits:
-            return base, np.array(hits)
+        if base is not None:
+            hits = [cache.lookup(k) if k is not None else _NEG_INF for k in down]
+            if None not in hits:
+                return base, np.array(hits)
     base, nbr = _frontier_pass(q, polytope, cache, True)
     if cache is not None:
         cache.store(key, base)
-        for k, v in zip(down, nbr):
+        for k, v in zip(down, nbr.tolist()):
             if k is not None:
-                cache.store(k, float(v))
+                cache.store(k, v)
     return base, nbr
 
 

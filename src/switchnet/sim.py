@@ -8,6 +8,7 @@ Python with block-drawn random numbers; state vectors are small.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from collections import deque
 
@@ -20,6 +21,9 @@ from .propfair import decompose_mean, solve_prop_fair
 from .storeforward import draw_route_labels, route_label_law, store_forward_rates
 
 _BLOCK = 1 << 16
+# draws converted to Python floats at a time; the collector flushes its log
+# once per chunk
+_CHUNK = 1 << 12
 
 
 def _initial_state(spec: NetworkSpec, initial, rng):
@@ -46,7 +50,13 @@ def _initial_state(spec: NetworkSpec, initial, rng):
 
 
 class _Collector:
-    """Batch accumulators shared by the three simulators."""
+    """Batch accumulators shared by the three simulators.
+
+    The loops log every piece of time they credit as one segment: its
+    batch, its length and the id of the state it was spent in, interned in
+    ``index`` per distinct (queue vector, route content).  ``flush`` adds
+    the log to the accumulators once per chunk of events and starts a new
+    log and index, so their size does not grow with the run."""
 
     def __init__(self, spec: NetworkSpec, cfg: SimConfig, horizon, warm):
         n_queues, n_routes = spec.n_queues, spec.n_routes
@@ -56,48 +66,65 @@ class _Collector:
         self.warm = warm
         self.horizon = horizon
         self.span = (horizon - warm) / cfg.batches
-        # per-batch time integrals as plain floats: the loops add to them one
-        # element at a time, which numpy rows make several times slower
-        self.qint = [[0.0] * n_queues for _ in range(cfg.batches)]
-        self.cint = [[0.0] * n_routes for _ in range(cfg.batches)]
-        self.mass = [0.0] * cfg.batches
-        self.soj_sum = np.zeros((cfg.batches, n_routes))
-        self.soj_cnt = np.zeros((cfg.batches, n_routes), dtype=np.int64)
-        self.comp = np.zeros((n_queues, n_routes), dtype=np.int64)
+        self.index: dict[tuple, int] = {}
+        self.log_b, self.log_seg, self.log_id = [], [], []
+        # per batch, flattened: the time, then the time integral of every
+        # queue and of every route's content
+        self.width = 1 + n_queues + n_routes
+        self.acc = np.zeros(cfg.batches * self.width)
+        self.soj_sum = [[0.0] * n_routes for _ in range(cfg.batches)]
+        self.soj_cnt = [[0] * n_routes for _ in range(cfg.batches)]
+        self.comp = [[0] * n_routes for _ in range(n_queues)]
         self.pair_hists = {
             (int(a), int(b)): np.zeros((JOINT_CAP + 1, JOINT_CAP + 1))
             for a, b in cfg.pairs
         }
-        self.pair_items = list(self.pair_hists.items())
 
     def batch_of(self, t):
         return min(int((t - self.warm) / self.span), self.B - 1)
 
-    def add(self, b, seg, Q, content):
-        """Credit seg units of time in state (Q, content) to batch b."""
-        self.mass[b] += seg
-        row = self.qint[b]
-        for j, q in enumerate(Q):
-            row[j] += q * seg
-        row = self.cint[b]
-        for r, c in enumerate(content):
-            row[r] += c * seg
-        for (pa, pb), H in self.pair_items:
-            qa, qb = Q[pa], Q[pb]
-            H[qa if qa < JOINT_CAP else JOINT_CAP, qb if qb < JOINT_CAP else JOINT_CAP] += seg
+    def flush(self):
+        """Add the logged segments to the batch integrals and the joint
+        histograms, then clear the log.  ``np.add.at`` is unbuffered and
+        takes its indices in order, so every accumulator element receives
+        its terms in log order, as a sequential loop would add them: the
+        sums do not depend on where the chunks end."""
+        if not self.log_seg:
+            return
+        rows = np.array(list(self.index), dtype=float)[self.log_id]
+        seg = np.array(self.log_seg)
+        vals = np.empty((len(seg), self.width))
+        vals[:, 0] = seg
+        np.multiply(rows, seg[:, None], out=vals[:, 1:])
+        cells = np.array(self.log_b)[:, None] * self.width + np.arange(self.width)
+        np.add.at(self.acc, cells.ravel(), vals.ravel())
+        for (pa, pb), H in self.pair_hists.items():
+            cell = (np.minimum(rows[:, pa], JOINT_CAP) * (JOINT_CAP + 1)
+                    + np.minimum(rows[:, pb], JOINT_CAP))
+            np.add.at(H.reshape(-1), cell.astype(np.intp), seg)
+        self.index.clear()
+        self.log_b.clear()
+        self.log_seg.clear()
+        self.log_id.clear()
 
     def sojourn(self, t_dep, route, value):
         b = self.batch_of(t_dep)
-        self.soj_sum[b, route] += value
-        self.soj_cnt[b, route] += 1
+        self.soj_sum[b][route] += value
+        self.soj_cnt[b][route] += 1
 
     def finalize(self, kind, admitted, departed, in_system, transient, checkpoints):
-        cnt = self.soj_cnt.sum(axis=0)
-        soj_mean = np.where(cnt > 0, self.soj_sum.sum(axis=0) / np.maximum(cnt, 1), np.nan)
-        sbm = np.where(self.soj_cnt > 0, self.soj_sum / np.maximum(self.soj_cnt, 1), np.nan)
+        self.flush()
+        soj_sum = np.array(self.soj_sum)
+        soj_cnt = np.array(self.soj_cnt, dtype=np.int64)
+        cnt = soj_cnt.sum(axis=0)
+        soj_mean = np.where(cnt > 0, soj_sum.sum(axis=0) / np.maximum(cnt, 1), np.nan)
+        sbm = np.where(soj_cnt > 0, soj_sum / np.maximum(soj_cnt, 1), np.nan)
         soj_se = np.array([batch_se(sbm[:, r]) for r in range(sbm.shape[1])])
-        qint, cint, mass = np.array(self.qint), np.array(self.cint), np.array(self.mass)
-        mass = np.where(mass > 0, mass, np.nan)
+        acc = self.acc.reshape(self.B, self.width)
+        n_queues = len(self.comp)
+        mass = np.where(acc[:, 0] > 0, acc[:, 0], np.nan)
+        qint = acc[:, 1: 1 + n_queues]
+        cint = acc[:, 1 + n_queues:]
         total = float(np.nansum(mass))
         with np.errstate(invalid="ignore"):
             qbm = qint / mass[:, None]
@@ -120,7 +147,7 @@ class _Collector:
             sojourn_means=soj_mean,
             sojourn_ses=soj_se,
             sojourn_counts=cnt,
-            composition_counts=self.comp,
+            composition_counts=np.array(self.comp, dtype=np.int64),
             route_content_means=c_mean,
             route_content_ses=np.array(
                 [batch_se(cbm[:, r]) for r in range(cbm.shape[1])]
@@ -132,6 +159,18 @@ class _Collector:
             joint_histograms=self.pair_hists,
             checkpoints=tuple(checkpoints),
         )
+
+
+def _draw_chunks(rng):
+    """The event loop's unit exponentials and uniforms, paired, as chunks of
+    Python floats.  They are drawn a block at a time, exponentials first,
+    whatever the chunk size; converting a whole block at once would cost a
+    short run more than it uses."""
+    while True:
+        exp_blk = rng.exponential(1.0, _BLOCK)
+        uni_blk = rng.random(_BLOCK)
+        for lo in range(0, _BLOCK, _CHUNK):
+            yield zip(exp_blk[lo: lo + _CHUNK].tolist(), uni_blk[lo: lo + _CHUNK].tolist())
 
 
 def simulate_store_forward(
@@ -165,6 +204,11 @@ def simulate_store_forward(
     horizon = float(cfg.horizon)
     warm = cfg.warmup_fraction * horizon
     col = _Collector(spec, cfg, horizon, warm)
+    span, last = col.span, col.B - 1
+    edges = [warm + (b + 1) * span for b in range(last)] + [horizon]
+    log_b, log_seg, log_id = col.log_b.append, col.log_seg.append, col.log_id.append
+    index = col.index
+    comp = col.comp
     hop = spec.next_hop.tolist()
     first = hop[-1]
     rng = np.random.default_rng(cfg.seed)
@@ -173,103 +217,96 @@ def simulate_store_forward(
 
     fifo, X = _initial_state(spec, initial, rng)
     Q = X.sum(axis=1).tolist()
-    content = X.sum(axis=0).astype(float).tolist()
+    content = X.sum(axis=0).tolist()
     admitted = int(X.sum())
     departed = 0
     X = X.tolist()
-
+    # (sigma list, total) of the current queue vector: fetched when a service
+    # event first needs it and kept until the state changes; one rates call
+    # per distinct queue vector
     sig_cache: dict = {}
-    qkey = tuple(Q)
-
-    def sigma_of(key):
-        e = sig_cache.get(key)
-        if e is None:
-            s = store_forward_rates(np.array(key, dtype=np.int64), polytope, phi_cache)
-            e = (s.tolist(), float(s.sum()))
-            sig_cache[key] = e
-        return e
+    sig = None
 
     cp_iter = iter(np.linspace(warm, horizon, cfg.checkpoints + 1)[1:])
-    next_cp = next(cp_iter, None)
+    next_cp = next(cp_iter, math.inf)
     checkpoints = []
 
-    exp_blk = rng.exponential(1.0, _BLOCK)
-    uni_blk = rng.random(_BLOCK)
-    ei = ui = 0
-    span, B = col.span, col.B
-
     t = 0.0
-    while True:
-        if ei == _BLOCK:
-            exp_blk = rng.exponential(1.0, _BLOCK)
-            ei = 0
-        dt = exp_blk[ei] / lam
-        ei += 1
-        t_new = t + dt
-        # piecewise-constant state: spread [t, t_new) over batches
-        lo = t if t > warm else warm
-        hi = t_new if t_new < horizon else horizon
-        if hi > lo:
-            b = col.batch_of(lo)
-            while lo < hi:
-                edge = horizon if b == B - 1 else warm + (b + 1) * span
-                seg_end = hi if hi < edge else edge
-                col.add(b, seg_end - lo, Q, content)
-                lo = seg_end
-                if b < B - 1:
-                    b += 1
-        while next_cp is not None and t_new > next_cp:
-            checkpoints.append(
-                (next_cp, np.array(Q, dtype=np.int64), np.array(X, dtype=np.int64))
-            )
-            next_cp = next(cp_iter, None)
+    for chunk in _draw_chunks(rng):
+        sid = index.setdefault((*Q, *content), len(index))
+        for e, u in chunk:
+            t_new = t + e / lam
+            # piecewise-constant state: spread [t, t_new) over batches
+            lo = t if t > warm else warm
+            hi = t_new if t_new < horizon else horizon
+            if hi > lo:
+                b = int((lo - warm) / span)
+                if b > last:
+                    b = last
+                while lo < hi:
+                    edge = edges[b]
+                    seg_end = hi if hi < edge else edge
+                    log_b(b)
+                    log_seg(seg_end - lo)
+                    log_id(sid)
+                    lo = seg_end
+                    if b < last:
+                        b += 1
+            while t_new > next_cp:
+                checkpoints.append(
+                    (next_cp, np.array(Q, dtype=np.int64), np.array(X, dtype=np.int64))
+                )
+                next_cp = next(cp_iter, math.inf)
+            if t_new >= horizon:
+                break
+            t = t_new
+            u *= lam
+            if u < arr_total:
+                r = bisect_right(arr_cum, u)
+                if r >= R:
+                    r = R - 1
+                j = first[r]
+                fifo[j].append((r, t))
+                Q[j] += 1
+                X[j][r] += 1
+                content[r] += 1
+                admitted += 1
+            else:
+                if sig is None:
+                    qkey = tuple(Q)
+                    sig = sig_cache.get(qkey)
+                    if sig is None:
+                        s = store_forward_rates(np.array(qkey, dtype=np.int64), polytope, phi_cache)
+                        sig = sig_cache[qkey] = (s.tolist(), float(s.sum()))
+                v = u - arr_total
+                if v >= sig[1]:
+                    continue  # a phantom event: state unchanged
+                for j, s_j in enumerate(sig[0]):
+                    v -= s_j
+                    if v < 0.0:
+                        break
+                else:
+                    continue
+                r, t_arr = fifo[j].popleft()
+                Q[j] -= 1
+                X[j][r] -= 1
+                if t >= warm:
+                    comp[j][r] += 1
+                k = hop[j][r]
+                if k >= 0:
+                    fifo[k].append((r, t_arr))
+                    Q[k] += 1
+                    X[k][r] += 1
+                else:
+                    departed += 1
+                    content[r] -= 1
+                    if t_arr >= warm:
+                        col.sojourn(t, r, t - t_arr)
+            sid = index.setdefault((*Q, *content), len(index))
+            sig = None
+        col.flush()
         if t_new >= horizon:
             break
-        t = t_new
-        if ui == _BLOCK:
-            uni_blk = rng.random(_BLOCK)
-            ui = 0
-        u = uni_blk[ui] * lam
-        ui += 1
-        if u < arr_total:
-            r = bisect_right(arr_cum, u)
-            if r >= R:
-                r = R - 1
-            j = first[r]
-            fifo[j].append((r, t))
-            Q[j] += 1
-            X[j][r] += 1
-            content[r] += 1.0
-            admitted += 1
-            qkey = tuple(Q)
-        else:
-            sig, sig_tot = sigma_of(qkey)
-            v = u - arr_total
-            if v < sig_tot:
-                j = -1
-                for jj in range(J):
-                    v -= sig[jj]
-                    if v < 0.0:
-                        j = jj
-                        break
-                if j >= 0:
-                    r, t_arr = fifo[j].popleft()
-                    Q[j] -= 1
-                    X[j][r] -= 1
-                    if t >= warm:
-                        col.comp[j, r] += 1
-                    k = hop[j][r]
-                    if k >= 0:
-                        fifo[k].append((r, t_arr))
-                        Q[k] += 1
-                        X[k][r] += 1
-                    else:
-                        departed += 1
-                        content[r] -= 1.0
-                        if t_arr >= warm:
-                            col.sojourn(t, r, t - t_arr)
-                    qkey = tuple(Q)
-            # otherwise a phantom event: state unchanged
 
     return col.finalize("store-forward", admitted, departed, sum(Q), transient, checkpoints)
 
@@ -298,9 +335,10 @@ def _slotted_run(spec, cfg, serve_fn, kind, initial, transient):
     rng = np.random.default_rng(cfg.seed)
     fifo, X = _initial_state(spec, initial, rng)
     Q = X.sum(axis=1).tolist()
-    content = X.sum(axis=0).astype(float).tolist()
+    content = X.sum(axis=0).tolist()
     admitted = int(X.sum())
     departed = 0
+    index = col.index
     cp_slots = {int(v) for v in np.linspace(warm_slots, horizon - 1, cfg.checkpoints)}
     checkpoints = []
 
@@ -321,7 +359,7 @@ def _slotted_run(spec, cfg, serve_fn, kind, initial, transient):
                 Q[j] -= n
                 X[j, r] -= n
                 if slot >= warm_slots:
-                    col.comp[j, r] += n
+                    col.comp[j][r] += n
                 k = hop[j][r]
                 if k >= 0:
                     fifo[k].extend((r, a) for a in arr_slots)
@@ -334,7 +372,11 @@ def _slotted_run(spec, cfg, serve_fn, kind, initial, transient):
                         if a >= warm_slots:
                             col.sojourn(float(slot), r, float(slot - a + 1))
         if slot >= warm_slots:
-            col.add(col.batch_of(float(slot)), 1.0, Q, content)
+            col.log_b.append(col.batch_of(float(slot)))
+            col.log_seg.append(1.0)
+            col.log_id.append(index.setdefault((*Q, *content), len(index)))
+            if len(col.log_seg) == _CHUNK:
+                col.flush()
         if slot in cp_slots:
             checkpoints.append((float(slot), np.array(Q, dtype=np.int64), X.copy()))
 

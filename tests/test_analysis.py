@@ -17,7 +17,7 @@ from switchnet.analysis import (
 from switchnet.metrics import SimConfig
 from switchnet.model import CapacityPolytope, NetworkSpec, Route, compute_loads
 from switchnet.normconst import log_norm_const
-from switchnet.presets import load_example
+from switchnet.presets import load_example, scaled_rates
 from switchnet.propfair import solve_prop_fair
 from switchnet.sim import simulate_prop_sched, simulate_store_forward
 from switchnet.storeforward import StationarySampler, stationary_normalizer
@@ -49,6 +49,11 @@ def test_balance_errors(tandem):
         balance_check(state, ("move", 1), spec, poly)  # final hop
     with pytest.raises(ValueError):
         balance_check(((0, 1), ((), (0,))), ("move", 0), spec, poly)  # empty
+    # the FIFOs must list every packet Q counts
+    ex = load_example("k22")
+    k22 = scaled_rates(ex, 0.8)
+    with pytest.raises(ValueError, match="FIFO holds 1 packets but Q_j = 3"):
+        balance_check(((3, 0, 0, 0), ((0,), (), (), ())), ("departure", 0), k22, ex.polytope)
 
 
 def test_random_balance_residuals(tandem, merge, pooled_route, cycle4):

@@ -227,6 +227,15 @@ def test_main_exit_codes(tmp_path, capsys):
         assert main([command, "--config", bad]) == 2
         assert f"error: {field}: " in capsys.readouterr().err
 
+    # queue labels are a list of one distinct nonempty string per queue
+    for labels in ("ab", 0, [1, 2], ["a", "a"], ["a", ""], None):
+        doc = {"network": {"queues": 2, "routes": [{"path": [0, 1], "rate": 0.5}],
+                           "capacity": {"matrix": [[1.0, 0.0], [0.0, 1.0]]},
+                           "queue_labels": labels}}
+        bad = _write(tmp_path, doc, name="labels.json")
+        assert main(["analyze", "--config", bad]) == 2
+        assert "error: network.queue_labels: " in capsys.readouterr().err
+
 
 def test_main_examples_subcommand(capsys):
     assert main(["examples"]) == 0

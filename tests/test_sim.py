@@ -2,9 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from switchnet import sim
-from switchnet.metrics import SimConfig, collect_joint
+from switchnet.metrics import JOINT_CAP, SimConfig, collect_joint
 from switchnet.model import CapacityPolytope, NetworkSpec, Route, compute_loads, enumerate_schedules
 from switchnet.presets import load_example, scaled_rates
 from switchnet.propfair import decompose_mean, solve_prop_fair
@@ -83,6 +85,85 @@ def test_event_sim_deterministic(merge):
     np.testing.assert_array_equal(a.sojourn_means, b.sojourn_means)
     np.testing.assert_array_equal(a.composition_counts, b.composition_counts)
     assert a.admitted == b.admitted
+
+
+def _assert_same_trace(a, b):
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "joint_histograms":
+            assert x.keys() == y.keys()
+            for k in x:
+                np.testing.assert_array_equal(x[k], y[k])
+        elif f.name == "checkpoints":
+            assert len(x) == len(y)
+            for cx, cy in zip(x, y):
+                assert cx[0] == cy[0]
+                np.testing.assert_array_equal(cx[1], cy[1])
+                np.testing.assert_array_equal(cx[2], cy[2])
+        else:
+            np.testing.assert_array_equal(x, y, err_msg=f.name)
+
+
+def test_chunk_and_block_boundaries_leave_a_run_unchanged(merge, monkeypatch):
+    # blocks of 256 draws, cut into chunks that divide the block, do not
+    # divide it, or exceed it: every flush boundary lands somewhere else.
+    # At 3.55 events per unit time the run spans 28 blocks.
+    spec, poly = merge
+    cfg = SimConfig(horizon=2000, seed=5, warmup_fraction=0.3, pairs=((0, 2),), checkpoints=6)
+    monkeypatch.setattr(sim, "_BLOCK", 256)
+    runs = []
+    for chunk in (64, 100, 4096):
+        monkeypatch.setattr(sim, "_CHUNK", chunk)
+        runs.append(simulate_store_forward(spec, poly, cfg, initial=(2, 1, 3)))
+    for other in runs[1:]:
+        _assert_same_trace(runs[0], other)
+
+
+_QUEUE = st.integers(0, JOINT_CAP + 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    states=st.lists(st.tuples(_QUEUE, _QUEUE, _QUEUE, st.integers(0, 9), st.integers(0, 9)),
+                    min_size=1, max_size=4),
+    # lengths with full mantissas, so that adding them in another order
+    # rounds differently
+    segments=st.lists(st.tuples(st.integers(0, 2), st.integers(1, 10**9).map(lambda k: k / 997.0),
+                                st.integers(0, 3)), min_size=30, max_size=90),
+    data=st.data(),
+)
+def test_flush_matches_a_sequential_sum(states, segments, data):
+    # the batch integrals and the joint histogram receive the same terms in
+    # the same order as a plain += loop over the segments, wherever the
+    # flushes fall
+    cuts = data.draw(st.sets(st.integers(1, len(segments) - 1), min_size=1, max_size=4))
+    spec = NetworkSpec(n_queues=3, routes=[Route(id="a", path=(0, 2), rate=0.2),
+                                           Route(id="b", path=(1, 2), rate=0.3)],
+                       capacity=CapacityPolytope(np.eye(3)))
+    col = sim._Collector(spec, SimConfig(horizon=9.0, batches=3, pairs=((0, 2),)), 9.0, 0.0)
+    mass = [0.0] * 3
+    qint = [[0.0] * 3 for _ in range(3)]
+    cint = [[0.0] * 2 for _ in range(3)]
+    hist = np.zeros((JOINT_CAP + 1, JOINT_CAP + 1))
+    for i, (b, seg, k) in enumerate(segments):
+        if i in cuts:
+            col.flush()
+        state = states[k % len(states)]
+        col.log_b.append(b)
+        col.log_seg.append(seg)
+        col.log_id.append(col.index.setdefault(state, len(col.index)))
+        mass[b] += seg
+        for j in range(3):
+            qint[b][j] += state[j] * seg
+        for r in range(2):
+            cint[b][r] += state[3 + r] * seg
+        hist[min(state[0], JOINT_CAP), min(state[2], JOINT_CAP)] += seg
+    col.flush()
+    acc = col.acc.reshape(3, 6)
+    assert acc[:, 0].tolist() == mass
+    assert acc[:, 1:4].tolist() == qint
+    assert acc[:, 4:].tolist() == cint
+    assert np.array_equal(col.pair_hists[0, 2], hist)
 
 
 def test_composition_mix(merge):
