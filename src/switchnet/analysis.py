@@ -14,7 +14,7 @@ from scipy.special import chdtrc
 from .metrics import TraceMetrics, collect_joint
 from .model import CapacityPolytope, NetworkSpec, compute_loads
 from .normconst import NormConstCache, log_norm_const
-from .propfair import solve_prop_fair
+from .propfair import require_converged, solve_prop_fair
 from .storeforward import (
     InadmissibleLoadError,
     StationarySampler,
@@ -321,7 +321,7 @@ def large_deviations_rate(
     Sum_k dQ_j(k) Gamma_jr(k) log(Gamma_jr(k) / a_r), with 0 log 0 = 0.
     Zero at Q = 0 with the stationary composition; with the stationary
     composition it is the limit of -(1/c) log P(cQ) under the stationary
-    law.
+    law.  RuntimeError when the fair solve at Q does not converge.
     """
     q = np.asarray(Q, dtype=float)
     if q.shape != (spec.n_queues,):
@@ -329,7 +329,7 @@ def large_deviations_rate(
     if np.max(np.abs(profile.breakpoints[-1] - q)) > 1e-9:
         raise ValueError("profile endpoint does not match Q")
     if np.any(q > 0):
-        pf = solve_prop_fair(q, polytope).objective
+        pf = require_converged(solve_prop_fair(q, polytope), q).objective
     else:
         pf = 0.0
     rates = spec.rates()
@@ -366,13 +366,14 @@ def log_norm_const_scaling(
     Q, polytope: CapacityPolytope, c_list, cache: NormConstCache | None = None
 ) -> ScalingDiagnostics:
     """Evaluate (1/c) log Phi(cQ) along c_list with its limiting value,
-    the negated fair-allocation objective at Q."""
+    the negated fair-allocation objective at Q.  RuntimeError when the fair
+    solve at Q does not converge to 1e-10."""
     q = np.asarray(Q, dtype=np.int64)
     scales = tuple(int(c) for c in c_list)
     if any(c <= 0 for c in scales):
         raise ValueError("scales must be positive")
     if np.any(q > 0):
-        target = -solve_prop_fair(q, polytope, tol=1e-10).objective
+        target = -require_converged(solve_prop_fair(q, polytope, tol=1e-10), q).objective
     else:
         target = 0.0
     vals = np.array(

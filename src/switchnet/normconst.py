@@ -296,7 +296,8 @@ def _frontier_pass(Q: np.ndarray, polytope: CapacityPolytope, cache: NormConstCa
         # A_lj -> A_lj z_j multiplies every term of Phi by prod_j z_j^Q_j,
         # corrected at the end; the fair rates maximize that product over
         # A z <= 1, which keeps the table well scaled for large vectors.  The
-        # tilt only conditions the pass: any z > 0 gives the same Phi.
+        # tilt only conditions the pass: any z > 0 gives the same Phi, so an
+        # unconverged solve is used as it is.
         from .propfair import solve_prop_fair  # propfair imports this module
 
         z = solve_prop_fair(Q, polytope).rates

@@ -56,6 +56,18 @@ class PropFairSolution:
     converged: bool
 
 
+def require_converged(sol: PropFairSolution, Q) -> PropFairSolution:
+    """Return ``sol``, or raise RuntimeError when its solve at Q stopped
+    short of its tolerance: an unconverged allocation must not feed a
+    downstream step."""
+    if not sol.converged:
+        raise RuntimeError(
+            f"proportional-fair solve at Q={tuple(np.asarray(Q).tolist())} stopped at "
+            f"KKT residual {sol.kkt_residual:.3g}"
+        )
+    return sol
+
+
 def _interior_point(q, A):
     """Pool prices of max sum q_j log s_j s.t. A s <= 1 by a primal-dual
     interior-point method with Mehrotra's predictor-corrector.
@@ -73,24 +85,38 @@ def _interior_point(q, A):
     Returns the prices of the best iterate and the number of steps.
     """
     m, n = A.shape
-    x = np.empty(n + 2 * m)
+    # A.T stays a strided view: BLAS takes another path for a contiguous
+    # copy, and the last bits of the iterates move with it
+    At = A.T
+    x, dx = np.empty(n + 2 * m), np.empty(n + 2 * m)
     s, w, p = x[:n], x[n:n + m], x[n + m:]
+    ds, dw, dp = dx[:n], dx[n:n + m], dx[n + m:]
     s[:] = 0.5 / float(A.sum(axis=1).max())
     w[:] = 1.0 - A @ s
     p[:] = 1.0
+    H = np.empty((n, n))
+    H_diag = H.reshape(-1)[::n + 1]
     best, best_p = np.inf, p.copy()
     stale = 0
 
-    def step(dx):
+    def step():
         # largest step in (0, 1] keeping x + step * dx >= 0
-        return min(1.0, -1.0 / min(float(np.min(dx / x)), -1.0))
+        return min(1.0, -1.0 / min(float((dx / x).min()), -1.0))
+
+    def direction(r_c):
+        # Newton step for s (A^T p) = q and A s + w = 1 that moves p w by
+        # -r_c, written into dx
+        r_cw = r_c / w
+        ds[:] = lapack.dpotrs(factor, r_d + At @ (d_rp + r_cw), lower=1)[0]
+        np.subtract(d * (A @ ds - r_p), r_cw, out=dp)
+        np.divide(-(r_c + w * dp), p, out=dw)
 
     for it in range(MAX_ITER + 1):
-        y = A.T @ p
+        y = At @ p
         r_d = q / s - y
         r_p = 1.0 - A @ s - w
         comp = p * w
-        measure = float(np.max(np.abs(np.concatenate([s * r_d, r_p, comp]))))
+        measure = float(np.abs(np.concatenate((s * r_d, r_p, comp))).max())
         if measure < best:
             best, best_p = measure, p.copy()
             stale = 0
@@ -99,33 +125,29 @@ def _interior_point(q, A):
         if best <= 1e-12 or (best <= 1e-8 and stale >= 3) or it == MAX_ITER:
             break
         d = p / w
-        factor, info = lapack.dpotrf((A.T * d) @ A + np.diag(y / s), lower=1)
+        np.matmul(At * d, A, out=H)
+        H_diag += y / s
+        factor, info = lapack.dpotrf(H, lower=1)
         if info != 0:
             break
-
-        def direction(r_c):
-            # Newton step for s (A^T p) = q and A s + w = 1 that moves p w by -r_c
-            ds = lapack.dpotrs(factor, r_d + A.T @ (d * r_p + r_c / w), lower=1)[0]
-            dp = d * (A @ ds - r_p) - r_c / w
-            return np.concatenate([ds, -(r_c + w * dp) / p, dp])
-
+        d_rp = d * r_p
         mu = float(comp.sum()) / m
-        dx = direction(comp)  # predictor: aim at p w = 0
-        a = step(dx)
-        dw, dp = dx[n:n + m], dx[n + m:]
+        direction(comp)  # predictor: aim at p w = 0
+        a = step()
         sigma = (float((w + a * dw) @ (p + a * dp)) / m / mu) ** 3
-        dx = direction(comp + dw * dp - sigma * mu)
-        x += 0.99 * step(dx) * dx
+        direction(comp + dw * dp - sigma * mu)
+        x += 0.99 * step() * dx
     return best_p, it
 
 
 def _price_residual(p, A, q):
     """KKT residual of prices p in the normalized problem, where the rates
     q / (A^T p) are stationary by construction: the larger of the capacity
-    violation and the complementary slackness.  Also returns A^T p."""
+    violation and the complementary slackness.  Also returns A^T p and the
+    pool slacks of those rates."""
     c = A.T @ p
     slack = 1.0 - A @ (q / c)
-    return max(np.max(-slack, initial=0.0), np.max(p * np.abs(slack), initial=0.0)), c
+    return max((-slack).max(initial=0.0), (p * abs(slack)).max(initial=0.0)), c, slack
 
 
 def solve_prop_fair(
@@ -145,49 +167,51 @@ def solve_prop_fair(
     q_raw = np.asarray(Q, dtype=float)
     if q_raw.shape != (polytope.n_queues,):
         raise ValueError("queue vector length does not match the polytope")
-    if np.any(q_raw < 0):
+    if not np.isfinite(q_raw).all():
+        raise ValueError("queue vector must be finite")
+    if (q_raw < 0).any():
         raise ValueError("queue vector must be nonnegative")
-    if not np.any(q_raw > 0):
+    active = q_raw > 0
+    if not active.any():
         raise ValueError("queue vector must have at least one positive entry")
 
-    active = q_raw > 0
     A_full = polytope.matrix
+    total = q_raw.sum()
     # scale to a probability vector so tolerances do not depend on |Q|
-    q = q_raw[active] / q_raw.sum()
+    q = q_raw[active] / total
     A_act = A_full[:, active]
     rows = np.flatnonzero(A_act.sum(axis=1) > 0)
     A = A_act[rows]
     n_pools = len(rows)
 
     p, iters = _interior_point(q, A)
-    res, c = _price_residual(p, A, q)
+    res, c, slack = _price_residual(p, A, q)
 
     # ---- active-set Newton polish ----
     newton_iters = 0
     for _ in range(4):
-        slack = 1.0 - A @ (q / c)
         act = (p > 1e-9 * max(p.max(initial=0.0), 1.0)) | (slack < 1e-7)
-        if not np.any(act):
+        if not act.any():
             break
         idx = np.flatnonzero(act)
         B = A[idx]
-        p_a = p[idx].copy()
+        p_a = p[idx]
         p_a[p_a <= 0] = 1e-12
         improved = False
         for _ in range(50):
             newton_iters += 1
             c_a = B.T @ p_a
-            if np.any(c_a <= 0):
+            if (c_a <= 0).any():
                 break
             s_a = q / c_a
             F = B @ s_a - 1.0
-            if np.max(np.abs(F)) < 1e-14:
+            if abs(F).max() < 1e-14:
                 improved = True
                 break
             J = -(B * (q / c_a**2)) @ B.T
             delta = np.linalg.lstsq(J, -F, rcond=None)[0]
             drop = p_a + delta < 0.0
-            if np.any(drop) and not np.all(drop):
+            if drop.any() and not drop.all():
                 # the full step prices these pools below zero: they are
                 # slack, or tight at zero price, at the optimum
                 idx, B, p_a = idx[~drop], B[~drop], p_a[~drop]
@@ -197,9 +221,9 @@ def solve_prop_fair(
             stepped = False
             for _ in range(40):
                 cand = p_a + t * delta
-                if np.all(cand >= 0):
+                if (cand >= 0).all():
                     c_c = B.T @ cand
-                    if np.all(c_c > 0):
+                    if (c_c > 0).all():
                         F_c = B @ (q / c_c) - 1.0
                         if float(F_c @ F_c) < f0:
                             p_a = cand
@@ -212,9 +236,9 @@ def solve_prop_fair(
         if improved:
             p_try = np.zeros(n_pools)
             p_try[idx] = p_a
-            res_try, c_try = _price_residual(p_try, A, q)
+            res_try, c_try, slack_try = _price_residual(p_try, A, q)
             if res_try <= res:
-                p, c, res = p_try, c_try, res_try
+                p, c, slack, res = p_try, c_try, slack_try, res_try
         if res <= tol * 1e-4:
             break
 
@@ -225,14 +249,10 @@ def solve_prop_fair(
     prices = np.zeros(polytope.n_pools)
     # prices were computed for the normalized problem; the raw problem's
     # dual scales by sum(Q)
-    prices[rows] = p * q_raw.sum()
+    prices[rows] = p * total
     slack_full = 1.0 - A_full @ rates
-    residual = float(
-        max(
-            np.max(-slack_full, initial=0.0),
-            np.max(prices * np.abs(slack_full), initial=0.0) / q_raw.sum(),
-        )
-    )
+    residual = float(max((-slack_full).max(initial=0.0),
+                         (prices * abs(slack_full)).max(initial=0.0) / total))
     objective = float(q_raw[active] @ np.log(s_act))
     return PropFairSolution(
         rates=rates,
@@ -250,11 +270,12 @@ def sf_pf_gap(Q, polytope: CapacityPolytope, c_list, cache: NormConstCache | Non
 
     The store-forward allocation converges to the fair point as c grows;
     the returned array (aligned with c_list) quantifies how fast.
+    RuntimeError when the fair solve at Q does not converge to 1e-10.
     """
     q = np.asarray(Q, dtype=np.int64)
     if not np.any(q > 0):
         raise ValueError("queue vector must have at least one positive entry")
-    sol = solve_prop_fair(q, polytope, tol=1e-10)
+    sol = require_converged(solve_prop_fair(q, polytope, tol=1e-10), q)
     gaps = np.empty(len(list(c_list)))
     for i, cval in enumerate(c_list):
         cval = int(cval)
@@ -292,6 +313,35 @@ class ScheduleDistribution:
         return self.schedules[min(k, len(self.schedules) - 1)]
 
 
+# the pools of the schedule lists seen last, keyed by (shape, bytes) of the
+# float list, so that a caller passing the same list as a fresh array still
+# hits; its arrays are read-only, and when it is full the oldest entry goes
+_POOL_MEMO: dict = {}
+_POOL_MEMO_SIZE = 8
+
+
+def _schedule_pools(S):
+    """Read-only (S, served, pool matrix, in_pool, width) of the float
+    schedule list S, built once per list.  The memo holds its own copy of
+    S, so a caller that later writes to its array changes nothing here."""
+    key = (S.shape, S.tobytes())
+    pools = _POOL_MEMO.get(key)
+    if pools is None:
+        if not np.isfinite(S).all():
+            raise ValueError("schedules must be finite")
+        S = S.copy()
+        served = S > 0
+        conflicts = np.argwhere(np.triu(served.T.astype(int) @ served == 0, 1))
+        A = cliques_to_polytope(InterferenceGraph.from_edges(S.shape[1], conflicts)).matrix
+        pools = (S, served, A, (S @ A.T) > 0, served.sum(axis=1))
+        for a in pools:
+            a.setflags(write=False)
+        if len(_POOL_MEMO) >= _POOL_MEMO_SIZE:
+            del _POOL_MEMO[next(iter(_POOL_MEMO))]
+        _POOL_MEMO[key] = pools
+    return pools
+
+
 def decompose_mean(target, schedules) -> ScheduleDistribution:
     """Express ``target`` as the mean of a lottery over ``schedules``.
 
@@ -307,7 +357,8 @@ def decompose_mean(target, schedules) -> ScheduleDistribution:
     of every remainder is the hull of listed schedules (Chvátal 1975), so
     the peel always succeeds.  InfeasibleTargetError is raised when no
     listed schedule lies on the face, or when the lottery's mean misses
-    the target by more than ``LOTTERY_TOL``.
+    the target by more than ``LOTTERY_TOL``.  The pools are built once per
+    schedule list and memoized.
     """
     S = np.asarray(schedules, dtype=float)
     if S.ndim != 2:
@@ -315,11 +366,9 @@ def decompose_mean(target, schedules) -> ScheduleDistribution:
     t = np.asarray(target, dtype=float)
     if t.shape != (S.shape[1],):
         raise ValueError("target length does not match schedule width")
-    served = S > 0
-    conflicts = np.argwhere(np.triu(served.T.astype(int) @ served == 0, 1))
-    A = cliques_to_polytope(InterferenceGraph.from_edges(S.shape[1], conflicts)).matrix
-    in_pool = (S @ A.T) > 0
-    width = served.sum(axis=1)
+    if not np.isfinite(t).all():
+        raise ValueError("target must be finite")
+    S, served, A, in_pool, width = _schedule_pools(S)
     x = np.maximum(t, 0.0)
     mass = 1.0
     picked, prob = [], []
@@ -331,15 +380,15 @@ def decompose_mean(target, schedules) -> ScheduleDistribution:
             raise InfeasibleTargetError(f"target {t}: no listed schedule on the face of {x / mass}")
         k = int(np.argmax(np.where(on_face, width, -1)))
         v = S[k]
-        step = min(mass, np.min(x[served[k]] / v[served[k]], initial=np.inf),
-                   np.min(mass - load[~in_pool[k]], initial=np.inf))
+        step = min(mass, (x[served[k]] / v[served[k]]).min(initial=np.inf),
+                   (mass - load[~in_pool[k]]).min(initial=np.inf))
         picked.append(k)
         prob.append(step)
         x -= step * v
         x[x < 1e-12] = 0.0
         mass = mass - step if mass - step >= 1e-12 else 0.0
     sched, prob = S[picked], np.array(prob) / sum(prob)
-    miss = float(np.max(np.abs(prob @ sched - t), initial=0.0))
+    miss = float(abs(prob @ sched - t).max(initial=0.0))
     if not miss <= LOTTERY_TOL:
         raise InfeasibleTargetError(f"target {t}: the peeled lottery misses it by {miss:.3g}")
     order = np.lexsort(sched.T[::-1])

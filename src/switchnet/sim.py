@@ -17,7 +17,7 @@ import numpy as np
 from .metrics import JOINT_CAP, SimConfig, TraceMetrics, batch_se
 from .model import CapacityPolytope, NetworkSpec, NetworkValidationError, compute_loads
 from .normconst import NormConstCache
-from .propfair import decompose_mean, solve_prop_fair
+from .propfair import decompose_mean, require_converged, solve_prop_fair
 from .storeforward import draw_route_labels, route_label_law, store_forward_rates
 
 _BLOCK = 1 << 16
@@ -404,6 +404,7 @@ def simulate_prop_sched(
     S = np.asarray(schedules, dtype=np.int64)
     if S.ndim != 2 or S.shape[1] != spec.n_queues:
         raise ValueError("schedules must be (n_schedules, n_queues)")
+    S = S.astype(float)  # the dtype decompose_mean works in, converted once
     loads = compute_loads(spec, polytope)
     dist_cache: dict = {}
 
@@ -411,12 +412,7 @@ def simulate_prop_sched(
         key = tuple(Q)
         dist = dist_cache.get(key)
         if dist is None:
-            sol = solve_prop_fair(Q, polytope)
-            if not sol.converged:
-                raise RuntimeError(
-                    f"proportional-fair solve at Q={key} stopped at KKT residual "
-                    f"{sol.kkt_residual:.3g}"
-                )
+            sol = require_converged(solve_prop_fair(Q, polytope), key)
             dist = decompose_mean(sol.rates, S)
             dist_cache[key] = dist
         sched = dist.sample(rng)

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from switchnet import analysis
 from switchnet.analysis import (
     CompositionProfile,
     balance_check,
@@ -231,6 +233,22 @@ def test_scaling_gap_shrinks_cycle(cycle4):
     diag = log_norm_const_scaling([2, 1, 1, 2], poly, [1, 4, 16])
     assert diag.decreasing
     assert diag.last_gap < diag.gaps[0]
+
+
+def test_fair_limits_reject_unconverged_solve(single_pool, monkeypatch):
+    spec, poly = single_pool
+
+    def short_of_tolerance(Q, polytope, tol=1e-8):
+        return dataclasses.replace(solve_prop_fair(Q, polytope, tol), converged=False)
+
+    monkeypatch.setattr(analysis, "solve_prop_fair", short_of_tolerance)
+    prof = CompositionProfile.single_stage([2, 1], stationary_mix(spec, poly), spec)
+    with pytest.raises(RuntimeError, match="KKT residual"):
+        large_deviations_rate([2, 1], prof, spec, poly)
+    with pytest.raises(RuntimeError, match="KKT residual"):
+        log_norm_const_scaling([2, 1], poly, [1, 4])
+    # the empty state needs no solve
+    assert log_norm_const_scaling([0, 0], poly, [1]).target == 0.0
 
 
 def test_scaling_zero_vector():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from switchnet.model import CapacityPolytope, enumerate_schedules
+from switchnet import propfair
 from switchnet.normconst import NormConstCache
 from switchnet.presets import load_example
 from switchnet.propfair import (
@@ -206,6 +208,27 @@ def test_gap_four_cycle_shrinks(cycle4):
     assert gaps[2] < 0.02
 
 
+def test_gap_rejects_unconverged_solve(monkeypatch):
+    poly = CapacityPolytope(np.array([[1.0, 1.0]]))
+
+    def short_of_tolerance(Q, polytope, tol=1e-8):
+        return dataclasses.replace(solve_prop_fair(Q, polytope, tol), converged=False)
+
+    monkeypatch.setattr(propfair, "solve_prop_fair", short_of_tolerance)
+    with pytest.raises(RuntimeError, match="KKT residual"):
+        sf_pf_gap([2, 1], poly, [1, 4])
+
+
+def test_solver_rejects_non_finite_queue_vector(capfd):
+    # no LAPACK call may see them: it would print a parameter error and
+    # end in LinAlgError
+    poly = CapacityPolytope(np.array([[1.0, 1.0]]))
+    for q in ([np.nan, 1.0], [np.inf, 1.0], [2.0, -np.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            solve_prop_fair(q, poly)
+    assert capfd.readouterr().err == ""
+
+
 def test_gap_matches_direct_computation():
     poly = CapacityPolytope(np.array([[1.0, 1.0]]))
     Q = np.array([3, 2])
@@ -258,7 +281,6 @@ def test_decompose_infeasible():
         # the peel misses these by 1e-6, more than the default tol
         ([0.5, 0.5 + 1e-6], one_edge),
         ([-1e-6, 0.5], one_edge),
-        ([np.nan, 0.2], one_edge),
     ]:
         with pytest.raises(InfeasibleTargetError):
             decompose_mean(target, np.array(sched))
@@ -282,3 +304,53 @@ def test_decompose_rejects_bad_target():
     sched = np.array([[0, 0], [1, 0], [0, 1]])
     with pytest.raises(ValueError):
         decompose_mean([0.5], sched)
+
+
+def test_decompose_rejects_non_finite_input():
+    # invalid input, not an unreachable target
+    one_edge = [[0, 0], [1, 0], [0, 1]]
+    for target, sched in [
+        ([np.nan, 0.2], one_edge),
+        ([0.3, np.inf], one_edge),
+        ([0.3, 0.2], [[0, 0], [np.nan, 0], [0, 1]]),
+    ]:
+        with pytest.raises(ValueError, match="finite") as err:
+            decompose_mean(target, sched)
+        assert not isinstance(err.value, InfeasibleTargetError)
+
+
+def _lottery(dist):
+    return dist.schedules.tobytes(), dist.probabilities.tobytes()
+
+
+def test_pool_memo_keys_on_the_list_values(cycle4):
+    _, poly, g = cycle4
+    sched = enumerate_schedules(g)
+    target = solve_prop_fair([2, 1, 1, 2], poly).rates
+    forms = [sched.tolist(), sched.astype(np.int64), sched.astype(float)]
+    got = {_lottery(decompose_mean(target, s)) for s in forms}
+    assert len(got) == 1
+
+
+def test_pool_memo_keeps_lists_of_one_shape_apart():
+    # one edge between the queues, then no interference: same shape, other pools
+    conflict = np.array([[0, 0], [1, 0], [0, 1]], dtype=float)
+    free = np.array([[0, 0], [1, 0], [1, 1]], dtype=float)
+    a = decompose_mean([0.5, 0.5], conflict)
+    b = decompose_mean([0.5, 0.5], free)
+    np.testing.assert_array_equal(a.schedules, [[0, 1], [1, 0]])
+    np.testing.assert_array_equal(b.schedules, [[0, 0], [1, 1]])
+    assert propfair._schedule_pools(conflict)[2].shape == (1, 2)
+    assert propfair._schedule_pools(free)[2].shape == (2, 2)
+
+
+def test_pool_memo_is_read_only_and_owns_its_list(monkeypatch):
+    monkeypatch.setattr(propfair, "_POOL_MEMO", {})  # this list's first call builds
+    sched = np.array([[0, 0], [1, 0], [0, 1]], dtype=float)
+    first = _lottery(decompose_mean([0.6, 0.4], sched))
+    pools = propfair._schedule_pools(sched)
+    assert pools[0] is not sched
+    assert not any(a.flags.writeable for a in pools)
+    sched[1:] = [[1, 1], [1, 1]]  # the caller reuses its array
+    assert _lottery(decompose_mean([0.6, 0.4], [[0, 0], [1, 0], [0, 1]])) == first
+    np.testing.assert_allclose(decompose_mean([0.6, 0.6], sched).mean, [0.6, 0.6])
