@@ -111,6 +111,8 @@ class CapacityPolytope:
         a = np.asarray(self.matrix, dtype=float)
         if a.ndim != 2 or a.shape[0] == 0 or a.shape[1] == 0:
             raise NetworkValidationError("pool matrix must be 2-d and nonempty")
+        if not np.isfinite(a).all():
+            raise NetworkValidationError("pool matrix entries must be finite")
         if np.any(a < 0):
             raise NetworkValidationError("pool matrix entries must be nonnegative")
         if np.any(a.sum(axis=0) == 0):

@@ -275,10 +275,10 @@ def sf_pf_gap(Q, polytope: CapacityPolytope, c_list, cache: NormConstCache | Non
     q = np.asarray(Q, dtype=np.int64)
     if not np.any(q > 0):
         raise ValueError("queue vector must have at least one positive entry")
+    scales = [int(c) for c in c_list]  # c_list may be a one-pass iterator
     sol = require_converged(solve_prop_fair(q, polytope, tol=1e-10), q)
-    gaps = np.empty(len(list(c_list)))
-    for i, cval in enumerate(c_list):
-        cval = int(cval)
+    gaps = np.empty(len(scales))
+    for i, cval in enumerate(scales):
         if cval <= 0:
             raise ValueError("scales must be positive integers")
         sigma = store_forward_rates(q * cval, polytope, cache)

@@ -84,6 +84,9 @@ def test_polytope_validation():
         CapacityPolytope(np.array([[1.0, -0.5]]))
     with pytest.raises(NetworkValidationError):
         CapacityPolytope(np.array([[1.0, 0.0], [1.0, 0.0]]))  # queue 1 in no pool
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NetworkValidationError, match="finite"):
+            CapacityPolytope(np.array([[1.0, bad]]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         CapacityPolytope(np.array([[1.0, 1.0], [2.0, 2.0]]))  # rank deficient is valid

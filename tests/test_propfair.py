@@ -232,7 +232,7 @@ def test_solver_rejects_non_finite_queue_vector(capfd):
 def test_gap_matches_direct_computation():
     poly = CapacityPolytope(np.array([[1.0, 1.0]]))
     Q = np.array([3, 2])
-    (gap,) = sf_pf_gap(Q, poly, [4])
+    (gap,) = sf_pf_gap(Q, poly, (c for c in [4]))  # a one-pass iterable of scales
     direct = np.abs(
         store_forward_rates(4 * Q, poly) - solve_prop_fair(Q, poly).rates
     ).max()
