@@ -16,8 +16,9 @@ from .model import CapacityPolytope, NetworkSpec, compute_loads
 from .normconst import NormConstCache, log_norm_const
 from .propfair import require_converged, solve_prop_fair
 from .storeforward import (
-    InadmissibleLoadError,
     StationarySampler,
+    _admissible_loads,
+    _stationary_mix,
     _validate_fifo,
     store_forward_rates,
 )
@@ -65,9 +66,7 @@ def balance_check(
     """
     Q, fifo = state
     Q = _validate_fifo(Q, fifo, spec)
-    loads = compute_loads(spec, polytope)
-    if not loads.admissible:
-        raise InadmissibleLoadError("balance checks need admissible loads")
+    _admissible_loads(spec, polytope)
     if cache is None:
         cache = NormConstCache(polytope)
     rates = spec.rates()
@@ -256,12 +255,10 @@ def independence_test(
 
 def stationary_mix(spec: NetworkSpec, polytope: CapacityPolytope) -> np.ndarray:
     """Per-queue route composition a_r / a_j (zero off route), the
-    composition that minimizes the rate function for fixed queue sizes."""
-    loads = compute_loads(spec, polytope)
-    on_route = spec.next_hop[:-1] != -2
-    mix = np.zeros(on_route.shape)
-    np.divide(spec.rates(), loads.queue_loads[:, None], out=mix, where=on_route)
-    return mix
+    composition that minimizes the rate function for fixed queue sizes.
+    The polytope must have the network's queues."""
+    compute_loads(spec, polytope)
+    return _stationary_mix(spec)
 
 
 class CompositionProfile:

@@ -36,6 +36,7 @@ from .analysis import (
     stationary_mix,
 )
 from .config import (
+    KINDS,
     ConfigError,
     ExperimentConfig,
     canonical_json,
@@ -47,6 +48,7 @@ from .model import NetworkValidationError, compute_loads
 from .presets import list_examples
 from .sim import simulate_backpressure, simulate_prop_sched, simulate_store_forward
 from .storeforward import (
+    InadmissibleLoadError,
     StationarySampler,
     expected_queue_lengths,
     expected_route_delay,
@@ -153,14 +155,10 @@ def _one_replication(doc_json: str, seed: int):
     run = replace(cfg.sim, seed=seed)
     if cfg.engine == "store-forward":
         tr = simulate_store_forward(cfg.spec, cfg.polytope, run, initial=cfg.initial)
-    elif cfg.engine == "prop-sched":
-        tr = simulate_prop_sched(
-            cfg.spec, cfg.schedules(), run, polytope=cfg.polytope, initial=cfg.initial
-        )
     else:
-        tr = simulate_backpressure(
-            cfg.spec, cfg.schedules(), run, initial=cfg.initial, polytope=cfg.polytope
-        )
+        slotted = simulate_prop_sched if cfg.engine == "prop-sched" else simulate_backpressure
+        tr = slotted(cfg.spec, cfg.spec.schedule_list(), run, polytope=cfg.polytope,
+                     initial=cfg.initial)
     return seed, tr.to_rows(), tr.to_summary_dict()
 
 
@@ -218,13 +216,11 @@ def _pooled(values, ses):
 
 
 def _run_compare(cfg: ExperimentConfig) -> tuple:
-    loads = compute_loads(cfg.spec, cfg.polytope)
-    if not loads.admissible:
-        raise NetworkValidationError(
-            "stationary formulas need admissible loads; "
-            f"max pool load is {loads.pool_loads.max():.3f}"
-        )
-    eq = expected_queue_lengths(cfg.spec, cfg.polytope)
+    try:
+        eq = expected_queue_lengths(cfg.spec, cfg.polytope)
+    except InadmissibleLoadError as exc:
+        # a config failure, found before any replication runs
+        raise NetworkValidationError(f"stationary formulas need admissible loads: {exc}") from None
     results = _fan_out(cfg)
     reps = [summary for _, _, summary in results]
     rows = []
@@ -405,7 +401,7 @@ def main(argv=None) -> int:
         description="closed-form and simulated analyses of multi-hop switch networks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("analyze", "simulate", "compare", "independence", "ldp", "balance"):
+    for name in KINDS:
         sp = sub.add_parser(name, help=f"run a {name} experiment from a config file")
         sp.add_argument("--config", required=True, help="path to a JSON experiment document")
         sp.add_argument("--seed", type=int, default=None,

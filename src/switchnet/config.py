@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,9 +71,6 @@ class ExperimentConfig:
     checks: int = 1000
     document: dict = field(default_factory=dict, compare=False)
 
-    def schedules(self) -> np.ndarray:
-        return self.spec.schedule_list()
-
 
 def canonical_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
@@ -108,6 +106,8 @@ def _number(doc, key, path, required=True, default=None, positive=False):
     val = _expect(doc, key, (int, float), path, required, default)
     if val is None:
         return None
+    if not math.isfinite(val):
+        raise ConfigError(f"{path}.{key}" if path else key, "must be a finite number")
     if positive and val <= 0:
         raise ConfigError(f"{path}.{key}" if path else key, "must be positive")
     return val
@@ -130,35 +130,36 @@ def _parse_routes(raw, path):
     return routes
 
 
+def _rows(raw, key, types, width, path, want):
+    """raw[key] if it is a list of lists of ``width`` entries of the JSON
+    ``types``; anything else is refused, never converted."""
+    val = raw[key]
+    if not (isinstance(val, list) and all(
+            isinstance(row, list) and len(row) == width and all(_of_type(x, types) for x in row)
+            for row in val)):
+        raise ConfigError(f"{path}.{key}", want)
+    return val
+
+
 def _parse_capacity(raw, n, path):
-    if not isinstance(raw, dict):
-        raise ConfigError(path, "expected an object with matrix, edges, or schedules")
+    """Returns (capacity, polytope, graph): the NetworkSpec capacity, the
+    pool matrix (None for a schedule list) and the interference graph."""
     keys = [k for k in ("matrix", "edges", "schedules") if k in raw]
     if len(keys) != 1:
         raise ConfigError(path, "give exactly one of matrix, edges, schedules")
     key = keys[0]
-    val = raw[key]
     if key == "matrix":
-        try:
-            mat = np.asarray(val, dtype=float)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{path}.matrix", "expected a 2-d numeric array") from None
-        return CapacityPolytope(mat), None
+        poly = CapacityPolytope(np.array(
+            _rows(raw, key, (int, float), n, path, f"expected rows of {n} numbers"), dtype=float))
+        return poly, poly, None
     if key == "edges":
-        if not isinstance(val, list):
-            raise ConfigError(f"{path}.edges", "expected a list of [i, j] pairs")
+        pairs = _rows(raw, key, int, 2, path, "expected a list of [i, j] pairs of queue indices")
         try:
-            g = InterferenceGraph.from_edges(n, [tuple(e) for e in val])
-        except (TypeError, ValueError) as exc:
+            g = InterferenceGraph.from_edges(n, pairs)
+        except ValueError as exc:
             raise ConfigError(f"{path}.edges", str(exc)) from None
-        return cliques_to_polytope(g), g
-    try:
-        sched = np.asarray(val, dtype=int)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path}.schedules", "expected a 2-d 0/1 array") from None
-    if sched.ndim != 2 or sched.shape[1] != n:
-        raise ConfigError(f"{path}.schedules", f"expected shape (*, {n})")
-    return None, sched
+        return g, cliques_to_polytope(g), g
+    return np.array(_rows(raw, key, int, n, path, f"expected rows of {n} integers")), None, None
 
 
 def _parse_labels(raw, n, path):
@@ -187,15 +188,8 @@ def _parse_network(raw, path="network"):
     if n <= 0:
         raise ConfigError(f"{path}.queues", "must be a positive integer")
     routes = _parse_routes(_expect(raw, "routes", list, path), f"{path}.routes")
-    cap_raw = _expect(raw, "capacity", dict, path)
-    poly, extra = _parse_capacity(cap_raw, n, f"{path}.capacity")
+    capacity, poly, graph = _parse_capacity(_expect(raw, "capacity", dict, path), n, f"{path}.capacity")
     labels = _parse_labels(raw, n, path)
-    if isinstance(extra, InterferenceGraph):
-        capacity, graph = extra, extra
-    elif poly is not None:
-        capacity, graph = poly, None
-    else:
-        capacity, graph = extra, None  # explicit schedule array, no polytope
     try:
         spec = NetworkSpec(n_queues=n, routes=routes, capacity=capacity, queue_labels=labels)
     except Exception as exc:
@@ -245,7 +239,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     sim = doc.get("sim", {})
     if not isinstance(sim, dict):
         raise ConfigError("sim", "expected an object")
-    engine = _expect(sim, "engine", str, "sim", required=False, default="store-forward")
+    engine = _expect(sim, "engine", str, "sim", required=False, default=ExperimentConfig.engine)
     if engine not in ENGINES:
         raise ConfigError("sim.engine", f"unknown engine {engine!r}; expected one of {', '.join(ENGINES)}")
     horizon = _number(sim, "horizon", "sim", required=False, default=10_000.0, positive=True)
@@ -272,7 +266,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
     ind = doc.get("independence", {})
     if not isinstance(ind, dict):
         raise ConfigError("independence", "expected an object")
-    samples = _expect(ind, "samples", int, "independence", required=False, default=100_000)
+    samples = _expect(ind, "samples", int, "independence", required=False,
+                      default=ExperimentConfig.samples)
     pairs = ()
     if kind == "independence":
         if "pairs" not in ind:
@@ -284,7 +279,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
             raise ConfigError("independence.samples", "must be positive")
 
     queue_vector = None
-    scales = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
+    scales = ExperimentConfig.scales
     if kind == "ldp":
         ldp = doc.get("ldp")
         if not isinstance(ldp, dict) or "queue_vector" not in ldp:
@@ -301,12 +296,12 @@ def parse_config(doc: dict) -> ExperimentConfig:
                 raise ConfigError("ldp.scales", "expected a nonempty list of integers >= 1")
             scales = tuple(sc)
 
-    checks = 1000
+    checks = ExperimentConfig.checks
     if kind == "balance":
         bal = doc.get("balance", {})
         if not isinstance(bal, dict):
             raise ConfigError("balance", "expected an object")
-        checks = _expect(bal, "checks", int, "balance", required=False, default=1000)
+        checks = _expect(bal, "checks", int, "balance", required=False, default=checks)
         if checks <= 0:
             raise ConfigError("balance.checks", "must be positive")
 

@@ -8,6 +8,7 @@ lumped into the top bin.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,8 +36,8 @@ class SimConfig:
     checkpoints: int = 0
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if not 0 < self.horizon < math.inf:
+            raise ValueError("horizon must be positive and finite")
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise ValueError("warmup fraction must lie in [0, 1)")
         if self.batches < 2:

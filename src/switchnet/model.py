@@ -10,6 +10,7 @@ list of integer schedules.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,9 +48,9 @@ class Route:
             raise NetworkValidationError(
                 f"route {self.id!r}: queues on a route must be distinct"
             )
-        if not (self.rate > 0.0):
+        if not 0.0 < self.rate < math.inf:
             raise NetworkValidationError(
-                f"route {self.id!r}: rate must be strictly positive, got {self.rate}"
+                f"route {self.id!r}: rate must be positive and finite, got {self.rate}"
             )
 
 

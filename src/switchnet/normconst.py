@@ -67,6 +67,11 @@ class NormConstCache:
         self.kernel_builds = 0
         self.memo_refused = 0
 
+    def check(self, polytope: CapacityPolytope):
+        """ValueError unless the cache was built for ``polytope``'s pool matrix."""
+        if polytope is not self.polytope and not np.array_equal(polytope.matrix, self.polytope.matrix):
+            raise ValueError("the NormConstCache was built for a different pool matrix")
+
     def lookup(self, key: tuple):
         return self._log.get(key)
 
@@ -357,6 +362,7 @@ def log_norm_const(Q, polytope: CapacityPolytope, cache: NormConstCache | None =
     if min(key) < 0:
         return -math.inf
     if cache is not None:
+        cache.check(polytope)
         hit = cache.lookup(key)
         if hit is not None:
             return hit
@@ -378,6 +384,7 @@ def log_norm_const_neighbours(
         return -math.inf, np.full(len(key), _NEG_INF)
     down = [key[:j] + (v - 1,) + key[j + 1:] if v > 0 else None for j, v in enumerate(key)]
     if cache is not None:
+        cache.check(polytope)
         base = cache.lookup(key)
         if base is not None:
             hits = [cache.lookup(k) if k is not None else _NEG_INF for k in down]

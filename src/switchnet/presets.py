@@ -21,7 +21,6 @@ from .model import (
     Route,
     cliques_to_polytope,
     compute_loads,
-    enumerate_schedules,
     is_perfect,
 )
 
@@ -45,8 +44,6 @@ class ExamplePreset:
 
     def schedules(self) -> np.ndarray:
         """Schedule list, available only for graph-backed presets."""
-        if self.graph is not None:
-            return enumerate_schedules(self.graph)
         return self.spec.schedule_list()
 
     def loads(self):

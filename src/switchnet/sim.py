@@ -329,7 +329,6 @@ def _slotted_run(spec, cfg, serve_fn, kind, initial, transient):
     horizon = int(cfg.horizon)
     warm_slots = int(cfg.warmup_fraction * horizon)
     col = _Collector(spec, cfg, float(horizon), float(warm_slots))
-    col.span = max((horizon - warm_slots) / cfg.batches, 1e-12)
     hop = spec.next_hop.tolist()
     first = hop[-1]
     rng = np.random.default_rng(cfg.seed)
@@ -383,6 +382,13 @@ def _slotted_run(spec, cfg, serve_fn, kind, initial, transient):
     return col.finalize(kind, admitted, departed, sum(Q), transient, checkpoints)
 
 
+def _schedule_array(spec: NetworkSpec, schedules) -> np.ndarray:
+    S = np.asarray(schedules, dtype=np.int64)
+    if S.ndim != 2 or S.shape[1] != spec.n_queues:
+        raise ValueError("schedules must be (n_schedules, n_queues)")
+    return S
+
+
 def simulate_prop_sched(
     spec: NetworkSpec,
     schedules,
@@ -401,10 +407,8 @@ def simulate_prop_sched(
     """
     if polytope is None:
         polytope = spec.capacity_polytope()
-    S = np.asarray(schedules, dtype=np.int64)
-    if S.ndim != 2 or S.shape[1] != spec.n_queues:
-        raise ValueError("schedules must be (n_schedules, n_queues)")
-    S = S.astype(float)  # the dtype decompose_mean works in, converted once
+    # the dtype decompose_mean works in, converted once
+    S = _schedule_array(spec, schedules).astype(float)
     loads = compute_loads(spec, polytope)
     dist_cache: dict = {}
 
@@ -444,9 +448,7 @@ def simulate_backpressure(
     smallest schedule, and each scheduled queue serves its heaviest route
     (lowest route id on ties).  Queues with weight zero are never served.
     """
-    S = np.asarray(schedules, dtype=np.int64)
-    if S.ndim != 2 or S.shape[1] != spec.n_queues:
-        raise ValueError("schedules must be (n_schedules, n_queues)")
+    S = _schedule_array(spec, schedules)
     order_ix = np.lexsort(S.T[::-1])
     S = S[order_ix]
     J, R = spec.n_queues, spec.n_routes
@@ -462,7 +464,6 @@ def simulate_backpressure(
         down_counts = np.where(down >= 0, X[np.maximum(down, 0), np.arange(R)[None, :]], 0)
         diff = np.where(on_route, X - down_counts, np.iinfo(np.int64).min)
         w = np.maximum(diff.max(axis=1, initial=np.iinfo(np.int64).min), 0)
-        w = np.where(on_route.any(axis=1), w, 0)
         if not w.any():
             return []
         sched = S[int(np.argmax(S @ w))]
@@ -472,8 +473,6 @@ def simulate_backpressure(
                 continue
             r = int(np.argmax(diff[j]))
             n = int(min(sched[j], X[j, r]))
-            if n <= 0:
-                continue
             # the n oldest packets of route r leave; the rest keep their order
             got, kept = [], deque()
             for p in fifo[j]:

@@ -37,6 +37,15 @@ def store_forward_rates(
     return np.exp(down - base)
 
 
+def _admissible_loads(spec: NetworkSpec, polytope: CapacityPolytope) -> LoadProfile:
+    """The network's loads; InadmissibleLoadError unless every pool load is
+    strictly below 1, where the stationary law exists."""
+    loads = compute_loads(spec, polytope)
+    if not loads.admissible:
+        raise InadmissibleLoadError(f"pool loads {loads.pool_loads} not strictly below 1")
+    return loads
+
+
 def _route_index(spec: NetworkSpec) -> dict[str, int]:
     return {r.id: i for i, r in enumerate(spec.routes)}
 
@@ -73,11 +82,7 @@ def log_stationary_weight(
     Multiply by ``stationary_normalizer`` to get a probability.
     """
     q = _validate_fifo(Q, fifo, spec)
-    loads = compute_loads(spec, polytope)
-    if not loads.admissible:
-        raise InadmissibleLoadError(
-            f"pool loads {loads.pool_loads} not strictly below 1"
-        )
+    _admissible_loads(spec, polytope)
     lw = log_norm_const(q, polytope, cache)
     rates = spec.rates()
     for content in fifo:
@@ -101,12 +106,21 @@ def stationary_normalizer(loads: LoadProfile) -> float:
 # -------------------- exact sampler --------------------
 
 
+def _stationary_mix(spec: NetworkSpec) -> np.ndarray:
+    """(queues, routes) array of a_r / a_j, zero where route r misses queue
+    j: the stationary probability that a packet at j carries route r."""
+    on_route = spec.next_hop[:-1] != -2
+    mix = np.zeros(on_route.shape)
+    np.divide(spec.rates(), spec.queue_loads[:, None], out=mix, where=on_route)
+    return mix
+
+
 def route_label_law(spec: NetworkSpec):
     """Per queue: the ids of the routes through it and the stationary
     probability a_r / a_j of each as the label of a packet there."""
-    rates = spec.rates()
-    return [(ids, rates[ids] / rates[ids].sum())
-            for ids in map(np.flatnonzero, spec.next_hop[:-1] != -2)]
+    mix = _stationary_mix(spec)
+    return [(ids, mix[j, ids])
+            for j, ids in enumerate(map(np.flatnonzero, spec.next_hop[:-1] != -2))]
 
 
 def draw_route_labels(law, Q, rng):
@@ -123,11 +137,7 @@ class StationarySampler:
     multinomial splits over member queues, i.i.d. route labels per queue."""
 
     def __init__(self, spec: NetworkSpec, polytope: CapacityPolytope, seed=None):
-        loads = compute_loads(spec, polytope)
-        if not loads.admissible:
-            raise InadmissibleLoadError(
-                f"cannot sample: pool loads {loads.pool_loads} not strictly below 1"
-            )
+        loads = _admissible_loads(spec, polytope)
         self.spec = spec
         self.polytope = polytope
         self.loads = loads
@@ -170,9 +180,7 @@ def sample_stationary_state(spec, polytope, seed=None):
 
 def expected_queue_lengths(spec: NetworkSpec, polytope: CapacityPolytope) -> np.ndarray:
     """E[Q_j] = sum over pools holding j of A_lj a_j / (1 - a_l)."""
-    loads = compute_loads(spec, polytope)
-    if not loads.admissible:
-        raise InadmissibleLoadError("expected queue lengths need admissible loads")
+    loads = _admissible_loads(spec, polytope)
     A = polytope.matrix
     return (A / (1.0 - loads.pool_loads)[:, None]).sum(axis=0) * loads.queue_loads
 
@@ -183,9 +191,7 @@ def expected_route_delay(route, spec: NetworkSpec, polytope: CapacityPolytope) -
     ``route`` is a Route, a route id present in the spec, or a per-queue
     visit-count vector (which also covers hypothetical multi-visit routes).
     """
-    loads = compute_loads(spec, polytope)
-    if not loads.admissible:
-        raise InadmissibleLoadError("expected delay needs admissible loads")
+    loads = _admissible_loads(spec, polytope)
     visits = np.zeros(spec.n_queues)
     if isinstance(route, str):
         idx = _route_index(spec)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -226,6 +227,39 @@ def test_main_exit_codes(tmp_path, capsys):
         bad = _write(tmp_path, doc, name=f"bool-{field}.json")
         assert main([command, "--config", bad]) == 2
         assert f"error: {field}: " in capsys.readouterr().err
+
+    # capacity entries are taken as written, never converted; numbers are finite
+    three = {"queues": 3, "routes": [{"path": [0, 1], "rate": 0.2}]}
+    for i, (command, field, doc) in enumerate((
+        ("analyze", "network.capacity.edges", {"network": {**three, "capacity": {"edges": [[0, 1.7]]}}}),
+        ("analyze", "network.capacity.edges", {"network": {**three, "capacity": {"edges": [[True, 2]]}}}),
+        ("analyze", "network.capacity.edges", {"network": {**three, "capacity": {"edges": [["0", 1]]}}}),
+        ("simulate", "network.capacity.schedules",
+         {"network": {**three, "capacity": {"schedules": [[0.9, 0, 1]]}},
+          "sim": {"engine": "backpressure", "horizon": 50}}),
+        ("simulate", "network.capacity.schedules",
+         {"network": {**three, "capacity": {"schedules": [[True, False, True]]}},
+          "sim": {"engine": "backpressure", "horizon": 50}}),
+        ("analyze", "network.capacity.matrix", {"network": {**inline, "capacity": {"matrix": [[True]]}}}),
+        ("analyze", "network.routes[0].rate",
+         {"network": {**inline, "routes": [{"path": [0], "rate": math.inf}]}}),
+        ("analyze", "sim.horizon", {"network": "tandem", "sim": {"horizon": math.nan}}),
+    )):
+        bad = _write(tmp_path, doc, name=f"entry-{i}.json")
+        assert main([command, "--config", bad]) == 2
+        assert f"error: {field}: " in capsys.readouterr().err
+
+    # a schedule-only capacity serves backpressure simulation alone
+    sched = _write(tmp_path, {"network": {**three, "capacity": {"schedules": [[1, 0, 1], [0, 1, 0]]}},
+                              "sim": {"engine": "backpressure", "horizon": 200}}, name="sched.json")
+    out = tmp_path / "sched-out"
+    assert main(["simulate", "--config", sched, "--out", str(out)]) == 0
+    assert (out / "metrics.csv").read_text().startswith("seed,metric,id,value,stderr,n\n")
+    capsys.readouterr()
+    for argv in (["analyze"], ["compare"], ["simulate", "--override", "sim.engine=prop-sched"]):
+        assert main([argv[0], "--config", sched, *argv[1:]]) == 2
+        assert ("error: network.capacity: a schedule-only capacity works only for "
+                "backpressure simulation") in capsys.readouterr().err
 
     # queue labels are a list of one distinct nonempty string per queue
     for labels in ("ab", 0, [1, 2], ["a", "a"], ["a", ""], None):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -153,6 +154,20 @@ def test_sim_settings_become_one_sim_config():
     with pytest.raises(ConfigError) as exc:
         parse_config(_inline_net(sim={"batches": 1}))
     assert exc.value.path == "sim"
+
+
+def test_non_finite_numbers_refused():
+    # Python's json reads NaN and Infinity; a run must not take them
+    for value in (math.inf, -math.inf, math.nan):
+        doc = _inline_net()
+        doc["network"]["routes"][0]["rate"] = value
+        with pytest.raises(ConfigError) as exc:
+            parse_config(doc)
+        assert exc.value.path == "network.routes[0].rate"
+        for key in ("horizon", "warmup_fraction"):
+            with pytest.raises(ConfigError) as exc:
+                parse_config(_inline_net(sim={key: value}))
+            assert exc.value.path == f"sim.{key}"
 
 
 def test_initial_length_checked():

@@ -15,6 +15,9 @@ from switchnet.metrics import (
 def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(horizon=0)
+    for horizon in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            SimConfig(horizon=horizon)
     with pytest.raises(ValueError):
         SimConfig(horizon=10, warmup_fraction=1.0)
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -29,6 +30,9 @@ def test_route_validation():
         Route(id="r", path=(0,), rate=0.0)
     with pytest.raises(NetworkValidationError):
         Route(id="r", path=(0,), rate=-0.2)
+    for rate in (math.inf, math.nan):
+        with pytest.raises(NetworkValidationError):
+            Route(id="r", path=(0,), rate=rate)
 
 
 def test_spec_validation():

@@ -148,6 +148,22 @@ def test_cache_reuse(cycle4):
     assert not cache.plans and not cache.kernels
 
 
+def test_cache_answers_only_for_its_polytope():
+    a = CapacityPolytope(np.array([[1.0, 1.0]]))
+    b = CapacityPolytope(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    cache = NormConstCache(a)
+    log_norm_const([2, 1], a, cache)
+    for call in (log_norm_const, log_norm_const_neighbours):
+        with pytest.raises(ValueError, match="different pool matrix"):
+            call([2, 1], b, cache)
+    with pytest.raises(ValueError, match="different pool matrix"):
+        store_forward_rates([3, 2], b, cache)
+    # an equal copy of the matrix shares the cache
+    twin = CapacityPolytope(np.array([[1.0, 1.0]]))
+    np.testing.assert_allclose(store_forward_rates([2, 1], twin, cache), [2 / 3, 1 / 3], rtol=1e-12)
+    np.testing.assert_allclose(store_forward_rates([2, 1], b, NormConstCache(b)), [1.0, 1.0], rtol=1e-12)
+
+
 def test_dimension_check():
     poly = CapacityPolytope(np.array([[1.0, 1.0]]))
     with pytest.raises(ValueError):
