@@ -12,7 +12,7 @@ import numpy as np
 from scipy.special import chdtrc
 
 from .metrics import TraceMetrics, collect_joint
-from .model import CapacityPolytope, NetworkSpec, compute_loads
+from .model import CapacityPolytope, NetworkSpec, as_integers, compute_loads
 from .normconst import NormConstCache, log_norm_const
 from .propfair import require_converged, solve_prop_fair
 from .storeforward import (
@@ -38,7 +38,7 @@ class BalanceReport:
 
 
 def _log_weight(Q, fifo, spec, polytope, cache, log_rates):
-    lw = log_norm_const(np.asarray(Q, dtype=np.int64), polytope, cache)
+    lw = log_norm_const(Q, polytope, cache)
     for content in fifo:
         for r in content:
             lw += log_rates[r]
@@ -76,11 +76,11 @@ def balance_check(
     # an arrival) to queue k (-1 for a departure); the reversed chain undoes
     # it with a reversed arrival or a reversed service at k
     if kind == "arrival":
-        r, j = int(arg), -1
+        r, j = as_integers(arg, "arrival route index").item(), -1
         if not 0 <= r < spec.n_routes:
             raise ValueError(f"no route with index {r}")
     elif kind in ("move", "departure"):
-        j = int(arg)
+        j = as_integers(arg, f"{kind} queue index").item()
         if not 0 <= j < spec.n_queues or len(fifo[j]) == 0:
             raise ValueError(f"queue {j} cannot serve: empty or out of range")
         r = fifo[j][0]
@@ -239,8 +239,8 @@ def independence_test(
     else:
         verdict = "inconclusive"
     return IndependenceReport(
-        pair=(int(pair[0]), int(pair[1])),
-        shares_pool=queues_share_pool(polytope, int(pair[0]), int(pair[1])),
+        pair=occ.pair,
+        shares_pool=queues_share_pool(polytope, *occ.pair),
         correlation=corr,
         chi_square=stat,
         dof=dof,
@@ -365,8 +365,8 @@ def log_norm_const_scaling(
     """Evaluate (1/c) log Phi(cQ) along c_list with its limiting value,
     the negated fair-allocation objective at Q.  RuntimeError when the fair
     solve at Q does not converge to 1e-10."""
-    q = np.asarray(Q, dtype=np.int64)
-    scales = tuple(int(c) for c in c_list)
+    q = as_integers(Q, "queue vector")
+    scales = tuple(as_integers(list(c_list), "scales").tolist())
     if any(c <= 0 for c in scales):
         raise ValueError("scales must be positive")
     if np.any(q > 0):

@@ -284,7 +284,7 @@ def _run_independence(cfg: ExperimentConfig) -> tuple:
 
 
 def _run_ldp(cfg: ExperimentConfig) -> tuple:
-    Q = np.asarray(cfg.queue_vector, dtype=int)
+    Q = cfg.queue_vector
     diag = log_norm_const_scaling(Q, cfg.polytope, cfg.scales)
     mix = stationary_mix(cfg.spec, cfg.polytope)
     profile = CompositionProfile.single_stage(Q, mix, cfg.spec)

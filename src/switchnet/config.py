@@ -212,6 +212,14 @@ def _parse_pairs(raw, n, path):
     return tuple(pairs)
 
 
+def _queue_vector(raw, n, path):
+    """raw as a tuple of n nonnegative integers; ConfigError at ``path`` otherwise."""
+    if (not isinstance(raw, list) or len(raw) != n
+            or not all(_of_type(x, int) and x >= 0 for x in raw)):
+        raise ConfigError(path, f"expected {n} nonnegative integers")
+    return tuple(raw)
+
+
 def _parse_seeds(doc):
     raw = doc.get("seeds", [0])
     if _of_type(raw, int):
@@ -258,10 +266,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError("sim", str(exc)) from None
     initial = sim.get("initial")
     if initial is not None:
-        if (not isinstance(initial, list) or len(initial) != spec.n_queues
-                or not all(_of_type(x, int) and x >= 0 for x in initial)):
-            raise ConfigError("sim.initial", f"expected {spec.n_queues} nonnegative integers")
-        initial = tuple(initial)
+        initial = _queue_vector(initial, spec.n_queues, "sim.initial")
 
     ind = doc.get("independence", {})
     if not isinstance(ind, dict):
@@ -284,11 +289,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         ldp = doc.get("ldp")
         if not isinstance(ldp, dict) or "queue_vector" not in ldp:
             raise ConfigError("ldp.queue_vector", "required field is missing")
-        qv = ldp["queue_vector"]
-        if (not isinstance(qv, list) or len(qv) != spec.n_queues
-                or not all(_of_type(x, int) and x >= 0 for x in qv)):
-            raise ConfigError("ldp.queue_vector", f"expected {spec.n_queues} nonnegative integers")
-        queue_vector = tuple(qv)
+        queue_vector = _queue_vector(ldp["queue_vector"], spec.n_queues, "ldp.queue_vector")
         if "scales" in ldp:
             sc = ldp["scales"]
             if (not isinstance(sc, list) or not sc

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .model import as_integers
+
 JOINT_CAP = 50
 
 
@@ -46,9 +48,10 @@ class SimConfig:
             raise ValueError("slot arrival model must be 'poisson' or 'bernoulli'")
         if self.checkpoints < 0:
             raise ValueError("checkpoint count must be nonnegative")
-        for p in self.pairs:
-            if len(p) != 2:
-                raise ValueError("pairs must be (queue, queue) tuples")
+        pairs = as_integers(self.pairs, "pairs")
+        if pairs.size and pairs.shape[1:] != (2,):
+            raise ValueError("pairs must be (queue, queue) tuples")
+        object.__setattr__(self, "pairs", tuple(map(tuple, pairs.tolist())))
 
 
 def batch_se(batch_means) -> float:
@@ -198,18 +201,15 @@ def collect_joint(source, pair, cap: int = JOINT_CAP) -> JointOccupancy:
     or a TraceMetrics whose config requested this pair.  Values above
     ``cap`` are lumped into the top bin.
     """
-    a, b = int(pair[0]), int(pair[1])
+    a, b = pair = tuple(as_integers(pair, "pair").tolist())
     if isinstance(source, TraceMetrics):
-        key = (a, b)
-        if key not in source.joint_histograms:
-            raise KeyError(
-                f"pair {key} was not recorded; pass it in SimConfig.pairs"
-            )
-        counts = source.joint_histograms[key]
+        if pair not in source.joint_histograms:
+            raise KeyError(f"pair {pair} was not recorded; pass it in SimConfig.pairs")
+        counts = source.joint_histograms[pair]
         total = float(counts.sum())
         if total <= 0:
             raise ValueError("trace holds no post-warmup mass for this pair")
-        return JointOccupancy(pair=(a, b), counts=counts.astype(float), total=total)
+        return JointOccupancy(pair=pair, counts=counts.astype(float), total=total)
     samples = np.asarray(source)
     if samples.ndim != 2 or len(samples) == 0:
         raise ValueError("need a nonempty (n, n_queues) sample array")
@@ -217,4 +217,4 @@ def collect_joint(source, pair, cap: int = JOINT_CAP) -> JointOccupancy:
     xb = np.minimum(samples[:, b], cap)
     counts = np.zeros((cap + 1, cap + 1))
     np.add.at(counts, (xa, xb), 1.0)
-    return JointOccupancy(pair=(a, b), counts=counts, total=float(len(samples)))
+    return JointOccupancy(pair=pair, counts=counts, total=float(len(samples)))

@@ -29,6 +29,21 @@ SCHEDULE_CAP = 24
 PERFECTION_CAP = 16
 
 
+def as_integers(x, name: str) -> np.ndarray:
+    """``x`` as an int64 array: the one rule for every integer input.  Integer
+    arrays pass unchanged and integer-valued floats give the same values;
+    fractions, NaN, infinities and booleans raise ValueError naming ``name``."""
+    a = np.asarray(x)
+    if a.dtype.kind in "fu":
+        with np.errstate(invalid="ignore"):
+            i = a.astype(np.int64)
+        a = i if np.array_equal(i, a) else a
+    if a.dtype.kind != "i" or (a.ndim and not isinstance(x, np.ndarray) and any(
+            isinstance(v, (bool, np.bool_)) for v in np.asarray(x, dtype=object).flat)):
+        raise ValueError(f"{name} must hold integers, got {x!r}")
+    return a.astype(np.int64, copy=False)
+
+
 # -------------------- basic types --------------------
 
 
@@ -41,7 +56,7 @@ class Route:
     rate: float
 
     def __post_init__(self):
-        object.__setattr__(self, "path", tuple(int(j) for j in self.path))
+        object.__setattr__(self, "path", tuple(as_integers(self.path, f"route {self.id!r} path").tolist()))
         if len(self.path) == 0:
             raise NetworkValidationError(f"route {self.id!r}: empty path")
         if len(set(self.path)) != len(self.path):
@@ -69,12 +84,11 @@ class InterferenceGraph:
             raise NetworkValidationError("interference graph needs at least one vertex")
         norm = set()
         adj = [0] * self.n
-        for e in self.edges:
-            u, v = int(e[0]), int(e[1])
+        for u, v in as_integers(list(self.edges), "interference edges").tolist():
             if u == v:
                 raise NetworkValidationError(f"self-loop on vertex {u}")
             if not (0 <= u < self.n and 0 <= v < self.n):
-                raise NetworkValidationError(f"edge {e} out of range for n={self.n}")
+                raise NetworkValidationError(f"edge {(u, v)} out of range for n={self.n}")
             norm.add((min(u, v), max(u, v)))
             adj[u] |= 1 << v
             adj[v] |= 1 << u
@@ -83,7 +97,7 @@ class InterferenceGraph:
 
     @classmethod
     def from_edges(cls, n: int, pairs) -> "InterferenceGraph":
-        return cls(n=n, edges=frozenset((int(u), int(v)) for u, v in pairs))
+        return cls(n=n, edges=frozenset(map(tuple, pairs)))
 
     def adjacent(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
@@ -205,7 +219,7 @@ class NetworkSpec:
                     f"interference graph has {cap.n} vertices, network has {self.n_queues} queues"
                 )
         else:
-            s = np.asarray(cap, dtype=int)
+            s = as_integers(cap, "schedule list")
             if s.ndim != 2 or s.shape[1] != self.n_queues:
                 raise NetworkValidationError(
                     "schedule list must be a 2-d array with one column per queue"
@@ -242,7 +256,7 @@ class NetworkSpec:
                 "schedule enumeration needs an interference graph or an explicit "
                 "schedule list; a bare pool matrix does not determine the schedules"
             )
-        return np.asarray(cap, dtype=int)
+        return cap
 
 
 @dataclass(frozen=True)

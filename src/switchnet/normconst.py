@@ -26,7 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import gammaln
 
-from .model import CapacityPolytope, CapExceededError
+from .model import CapacityPolytope, CapExceededError, as_integers
 
 _NEG_INF = float("-inf")
 
@@ -88,18 +88,13 @@ class NormConstCache:
         return len(self._log)
 
 
-def _check_queue_vector(Q, n_queues: int) -> np.ndarray:
+def _queue_vector(Q, n_queues: int) -> np.ndarray:
     # negative entries are allowed here: Phi of such a vector is 0 by
     # convention, which callers read off the returned vector
-    q = np.asarray(Q)
+    q = as_integers(Q, "queue vector")
     if q.shape != (n_queues,):
         raise ValueError(f"queue vector has shape {q.shape}, expected ({n_queues},)")
-    if q.dtype.kind == "i":
-        return q.astype(np.int64, copy=False)
-    qi = q.astype(np.int64)
-    if np.any(qi != q):
-        raise ValueError("queue vector entries must be integers")
-    return qi
+    return q
 
 
 def _log_kernel(counts, log_a, base_count, base_log):
@@ -357,7 +352,7 @@ def _frontier_pass(Q: np.ndarray, polytope: CapacityPolytope, cache: NormConstCa
 def log_norm_const(Q, polytope: CapacityPolytope, cache: NormConstCache | None = None) -> float:
     """log Phi(Q) via sequential pool convolution; -inf if any entry is
     negative (the Phi = 0 convention)."""
-    q = _check_queue_vector(Q, polytope.n_queues)
+    q = _queue_vector(Q, polytope.n_queues)
     key = tuple(q.tolist())
     if min(key) < 0:
         return -math.inf
@@ -378,7 +373,7 @@ def log_norm_const_neighbours(
     """log Phi(Q) and the vector of every log Phi(Q - e_j) from one frontier
     pass; entries with Q_j = 0 are -inf (the Phi = 0 convention).  With a
     cache, all J + 1 values are looked up first and stored after."""
-    q = _check_queue_vector(Q, polytope.n_queues)
+    q = _queue_vector(Q, polytope.n_queues)
     key = tuple(q.tolist())
     if min(key) < 0:
         return -math.inf, np.full(len(key), _NEG_INF)
@@ -417,7 +412,7 @@ def norm_const_table(polytope: CapacityPolytope, shape) -> np.ndarray:
     """
     A = polytope.matrix
     J = A.shape[1]
-    shape = tuple(int(s) for s in shape)
+    shape = tuple(as_integers(shape, "table shape").tolist())
     if len(shape) != J:
         raise ValueError("shape must give one extent per queue")
     size = int(np.prod(shape, dtype=np.int64))
@@ -456,7 +451,7 @@ def _compositions(total: int, parts: int):
 def norm_const_bruteforce(Q, polytope: CapacityPolytope, total_cap: int = 24) -> float:
     """Direct enumeration of the defining sum.  Exact integer multinomials,
     no convolution, no memoization.  Capped at sum(Q) <= total_cap."""
-    q = _check_queue_vector(Q, polytope.n_queues)
+    q = _queue_vector(Q, polytope.n_queues)
     if np.any(q < 0):
         return 0.0
     if int(q.sum()) > total_cap:

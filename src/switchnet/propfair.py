@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import lapack
 
-from .model import CapacityPolytope, InterferenceGraph, cliques_to_polytope
+from .model import CapacityPolytope, InterferenceGraph, as_integers, cliques_to_polytope
 from .normconst import NormConstCache
 from .storeforward import store_forward_rates
 
@@ -216,23 +216,15 @@ def solve_prop_fair(
                 # slack, or tight at zero price, at the optimum
                 idx, B, p_a = idx[~drop], B[~drop], p_a[~drop]
                 continue
-            t = 1.0
-            f0 = float(F @ F)
-            stepped = False
-            for _ in range(40):
-                cand = p_a + t * delta
-                if (cand >= 0).all():
-                    c_c = B.T @ cand
-                    if (c_c > 0).all():
-                        F_c = B @ (q / c_c) - 1.0
-                        if float(F_c @ F_c) < f0:
-                            p_a = cand
-                            stepped = True
-                            improved = True
-                            break
-                t *= 0.5
-            if not stepped:
+            # the full Newton step, kept if its prices stay feasible and it lowers |F|^2
+            cand = p_a + delta
+            c_c = B.T @ cand
+            if not ((cand >= 0).all() and (c_c > 0).all()):
                 break
+            F_c = B @ (q / c_c) - 1.0
+            if not float(F_c @ F_c) < float(F @ F):
+                break
+            p_a, improved = cand, True
         if improved:
             p_try = np.zeros(n_pools)
             p_try[idx] = p_a
@@ -272,10 +264,8 @@ def sf_pf_gap(Q, polytope: CapacityPolytope, c_list, cache: NormConstCache | Non
     the returned array (aligned with c_list) quantifies how fast.
     RuntimeError when the fair solve at Q does not converge to 1e-10.
     """
-    q = np.asarray(Q, dtype=np.int64)
-    if not np.any(q > 0):
-        raise ValueError("queue vector must have at least one positive entry")
-    scales = [int(c) for c in c_list]  # c_list may be a one-pass iterator
+    q = as_integers(Q, "queue vector")
+    scales = as_integers(list(c_list), "scales").tolist()  # c_list may be a one-pass iterator
     sol = require_converged(solve_prop_fair(q, polytope, tol=1e-10), q)
     gaps = np.empty(len(scales))
     for i, cval in enumerate(scales):

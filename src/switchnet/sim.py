@@ -15,7 +15,7 @@ from collections import deque
 import numpy as np
 
 from .metrics import JOINT_CAP, SimConfig, TraceMetrics, batch_se
-from .model import CapacityPolytope, NetworkSpec, NetworkValidationError, compute_loads
+from .model import CapacityPolytope, NetworkSpec, as_integers, compute_loads
 from .normconst import NormConstCache
 from .propfair import decompose_mean, require_converged, solve_prop_fair
 from .storeforward import draw_route_labels, route_label_law, store_forward_rates
@@ -36,7 +36,7 @@ def _initial_state(spec: NetworkSpec, initial, rng):
     X = np.zeros((J, spec.n_routes), dtype=np.int64)
     if initial is None:
         return fifo, X
-    init = np.asarray(initial, dtype=np.int64)
+    init = as_integers(initial, "initial occupancy")
     if init.shape != (J,) or np.any(init < 0):
         raise ValueError("initial occupancy must be a nonnegative vector per queue")
     idle = np.flatnonzero((init > 0) & (spec.queue_loads == 0))
@@ -76,8 +76,7 @@ class _Collector:
         self.soj_cnt = [[0] * n_routes for _ in range(cfg.batches)]
         self.comp = [[0] * n_routes for _ in range(n_queues)]
         self.pair_hists = {
-            (int(a), int(b)): np.zeros((JOINT_CAP + 1, JOINT_CAP + 1))
-            for a, b in cfg.pairs
+            pair: np.zeros((JOINT_CAP + 1, JOINT_CAP + 1)) for pair in cfg.pairs
         }
 
     def batch_of(self, t):
@@ -383,7 +382,7 @@ def _slotted_run(spec, cfg, serve_fn, kind, initial, transient):
 
 
 def _schedule_array(spec: NetworkSpec, schedules) -> np.ndarray:
-    S = np.asarray(schedules, dtype=np.int64)
+    S = as_integers(schedules, "schedules")
     if S.ndim != 2 or S.shape[1] != spec.n_queues:
         raise ValueError("schedules must be (n_schedules, n_queues)")
     return S
@@ -454,11 +453,11 @@ def simulate_backpressure(
     J, R = spec.n_queues, spec.n_routes
     down = spec.next_hop[:-1]
     on_route = down != -2
-    try:
+    if polytope is None and isinstance(spec.capacity, np.ndarray):
+        transient = False  # a schedule list alone gives no pool loads to flag
+    else:
         pol = polytope if polytope is not None else spec.capacity_polytope()
         transient = not compute_loads(spec, pol).admissible
-    except NetworkValidationError:
-        transient = False  # schedule-list capacity: no polytope, skip the flag
 
     def serve(rng, Q, X, fifo):
         down_counts = np.where(down >= 0, X[np.maximum(down, 0), np.arange(R)[None, :]], 0)

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .model import CapacityPolytope, LoadProfile, NetworkSpec, compute_loads
+from .model import CapacityPolytope, LoadProfile, NetworkSpec, as_integers, compute_loads
 from .normconst import NormConstCache, log_norm_const, log_norm_const_neighbours
 
 
@@ -51,7 +51,7 @@ def _route_index(spec: NetworkSpec) -> dict[str, int]:
 
 
 def _validate_fifo(Q, fifo, spec: NetworkSpec):
-    q = np.asarray(Q, dtype=np.int64)
+    q = as_integers(Q, "queue vector")
     if len(fifo) != spec.n_queues or q.shape != (spec.n_queues,):
         raise ValueError("state dimensions do not match the network")
     for j, content in enumerate(fifo):

@@ -26,6 +26,9 @@ def test_sim_config_validation():
         SimConfig(horizon=10, slot_arrivals="weird")
     with pytest.raises(ValueError):
         SimConfig(horizon=10, pairs=((0, 1, 2),))
+    for pairs in (((0.5, 1),), ((0, 1.5),), ((0, math.nan),), ((True, 1),)):
+        with pytest.raises(ValueError, match="pairs must hold integers"):
+            SimConfig(horizon=10, pairs=pairs)
     with pytest.raises(ValueError):
         SimConfig(horizon=10, checkpoints=-1)
 

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from switchnet.analysis import balance_check, independence_test, log_norm_const_scaling
+from switchnet.metrics import SimConfig, collect_joint
 from switchnet.model import (
     CapacityPolytope,
     CapExceededError,
@@ -19,6 +21,11 @@ from switchnet.model import (
     enumerate_schedules,
     is_perfect,
 )
+from switchnet.normconst import log_norm_const_neighbours, norm_const_table
+from switchnet.presets import load_example
+from switchnet.propfair import sf_pf_gap
+from switchnet.sim import simulate_backpressure, simulate_prop_sched, simulate_store_forward
+from switchnet.storeforward import StationarySampler, log_stationary_weight
 
 
 def test_route_validation():
@@ -33,6 +40,10 @@ def test_route_validation():
     for rate in (math.inf, math.nan):
         with pytest.raises(NetworkValidationError):
             Route(id="r", path=(0,), rate=rate)
+    # a path is never truncated or read from booleans
+    for path in ((0.7, 1.2), (0, math.nan), (0, math.inf), (0, True), np.array([True])):
+        with pytest.raises(ValueError, match="route 'r' path"):
+            Route(id="r", path=path, rate=0.1)
 
 
 def test_spec_validation():
@@ -264,3 +275,63 @@ def test_clique_polytope_vertices_are_schedules(one_edge, cycle4):
         _, poly, g = fixture
         sched = {tuple(map(float, v)) for v in enumerate_schedules(g)}
         assert _polytope_vertices(poly.matrix) == sched
+
+
+_POOL = CapacityPolytope(np.array([[1.0, 1.0]]))
+_TANDEM = load_example("tandem")
+_ONE_EDGE = load_example("one-edge")
+_SCHEDULES = [[0, 0], [1, 0], [0, 1], [0.5, 0]]
+
+# every input the library reads as an integer, each fed one fractional entry
+FRACTIONAL_INPUTS = {
+    "graph-edges": lambda: InterferenceGraph(3, frozenset({(0, 1.7)})),
+    "from-edges": lambda: InterferenceGraph.from_edges(3, [(0, 1.7)]),
+    "schedule-list": lambda: NetworkSpec(3, [Route("r", (0,), 0.1)], [[0.9, 0, 1]]),
+    "table-shape": lambda: norm_const_table(_POOL, (3.7, 2)),
+    "fifo-queue-vector": lambda: log_stationary_weight(
+        [1.9, 0], ((0,), ()), _TANDEM.spec, _TANDEM.polytope),
+    "initial-occupancy": lambda: simulate_store_forward(
+        _TANDEM.spec, _TANDEM.polytope, SimConfig(horizon=5, seed=0), initial=(1.7, 0)),
+    "backpressure-schedules": lambda: simulate_backpressure(
+        _ONE_EDGE.spec, _SCHEDULES, SimConfig(horizon=20, seed=0)),
+    "prop-sched-schedules": lambda: simulate_prop_sched(
+        _ONE_EDGE.spec, _SCHEDULES, SimConfig(horizon=20, seed=0)),
+    "joint-pair": lambda: collect_joint(np.zeros((3, 2), dtype=int), (0.9, 1)),
+    "gap-queue-vector": lambda: sf_pf_gap([3.5, 1], _POOL, [1]),
+    "gap-scale": lambda: sf_pf_gap([3, 1], _POOL, [1.5]),
+    "balance-move": lambda: balance_check(
+        ([1, 0], ((0,), ())), ("move", 0.4), _TANDEM.spec, _TANDEM.polytope),
+    "balance-arrival": lambda: balance_check(
+        ([1, 0], ((0,), ())), ("arrival", 0.4), _TANDEM.spec, _TANDEM.polytope),
+    "independence-pair": lambda: independence_test(
+        StationarySampler(_TANDEM.spec, _TANDEM.polytope, seed=0).sample_queues(10_000),
+        (0.9, 1), _TANDEM.polytope),
+    "scaling-queue-vector": lambda: log_norm_const_scaling([3.5, 1], _POOL, [1, 2]),
+    "scaling-scale": lambda: log_norm_const_scaling([3, 1], _POOL, [2.9]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRACTIONAL_INPUTS))
+def test_fractional_integer_inputs_refused(name):
+    with pytest.raises(ValueError, match="must hold integers"):
+        FRACTIONAL_INPUTS[name]()
+
+
+def test_integer_valued_floats_match_int_arrays():
+    q = np.array([3, 1])
+    base, nbr = log_norm_const_neighbours(q, _POOL)
+    base_f, nbr_f = log_norm_const_neighbours(q.astype(float), _POOL)
+    assert base_f == base and nbr_f.tobytes() == nbr.tobytes()
+    a = log_norm_const_scaling([3.0, 1.0], _POOL, [1.0, 4.0])
+    b = log_norm_const_scaling(q, _POOL, [1, 4])
+    assert a.scales == b.scales and a.values.tobytes() == b.values.tobytes()
+    sched = np.array([[0, 0], [1, 0], [0, 1]])
+    spec = NetworkSpec(2, _ONE_EDGE.spec.routes, sched.astype(float))
+    assert spec.capacity.dtype == np.int64 and np.array_equal(spec.capacity, sched)
+    cfg = SimConfig(horizon=200, seed=3, pairs=((0.0, 1.0),))
+    assert cfg.pairs == ((0, 1),)
+    for run in (simulate_backpressure, simulate_prop_sched):
+        a = run(_ONE_EDGE.spec, sched, cfg, initial=(2, 1))
+        b = run(_ONE_EDGE.spec, sched.astype(float), cfg, initial=(2.0, 1.0))
+        assert a.to_rows() == b.to_rows()
+        assert a.joint_histograms[(0, 1)].tobytes() == b.joint_histograms[(0, 1)].tobytes()

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from switchnet import sim
 from switchnet.metrics import JOINT_CAP, SimConfig, collect_joint
-from switchnet.model import CapacityPolytope, NetworkSpec, Route, compute_loads, enumerate_schedules
+from switchnet.model import (
+    CapacityPolytope, NetworkSpec, NetworkValidationError, Route, compute_loads, enumerate_schedules,
+)
 from switchnet.presets import load_example, scaled_rates
 from switchnet.propfair import decompose_mean, solve_prop_fair
 from switchnet.sim import (
@@ -299,6 +301,13 @@ def test_backpressure_respects_interference(one_edge):
     assert tr.conservation_ok()
     # served work cannot exceed one packet per slot across the edge
     assert tr.departed <= 3000
+
+
+def test_backpressure_refuses_a_polytope_that_does_not_fit():
+    k22 = load_example("k22")
+    with pytest.raises(NetworkValidationError, match="dimension mismatch"):
+        simulate_backpressure(k22.spec, k22.schedules(), SimConfig(horizon=10, seed=0),
+                              polytope=CapacityPolytope(np.eye(3)))
 
 
 def test_empty_route_queue_never_served(one_edge):
