@@ -12,7 +12,7 @@ import numpy as np
 from scipy.special import chdtrc
 
 from .metrics import TraceMetrics, collect_joint
-from .model import CapacityPolytope, NetworkSpec, as_integers, compute_loads
+from .model import CapacityPolytope, NetworkSpec, as_finite, as_indices, as_integers, compute_loads
 from .normconst import NormConstCache, log_norm_const
 from .propfair import require_converged, solve_prop_fair
 from .storeforward import (
@@ -76,13 +76,11 @@ def balance_check(
     # an arrival) to queue k (-1 for a departure); the reversed chain undoes
     # it with a reversed arrival or a reversed service at k
     if kind == "arrival":
-        r, j = as_integers(arg, "arrival route index").item(), -1
-        if not 0 <= r < spec.n_routes:
-            raise ValueError(f"no route with index {r}")
+        r, j = as_indices(arg, spec.n_routes, "arrival route index").item(), -1
     elif kind in ("move", "departure"):
-        j = as_integers(arg, f"{kind} queue index").item()
-        if not 0 <= j < spec.n_queues or len(fifo[j]) == 0:
-            raise ValueError(f"queue {j} cannot serve: empty or out of range")
+        j = as_indices(arg, spec.n_queues, f"{kind} queue index").item()
+        if len(fifo[j]) == 0:
+            raise ValueError(f"queue {j} cannot serve: it is empty")
         r = fifo[j][0]
     else:
         raise ValueError(f"unknown transition class {kind!r}")
@@ -171,8 +169,8 @@ class IndependenceReport:
 
 
 def queues_share_pool(polytope: CapacityPolytope, j: int, k: int) -> bool:
-    A = polytope.matrix
-    return bool(np.any((A[:, j] > 0) & (A[:, k] > 0)))
+    cols = polytope.matrix[:, as_indices((j, k), polytope.n_queues, "queue pair")]
+    return bool(np.any((cols > 0).all(axis=1)))
 
 
 def _pool_bins(marginal, n, limit=5.0):
@@ -272,8 +270,8 @@ class CompositionProfile:
     """
 
     def __init__(self, breakpoints, stage_mix, spec: NetworkSpec):
-        bp = np.asarray(breakpoints, dtype=float)
-        mx = np.asarray(stage_mix, dtype=float)
+        bp = as_finite(breakpoints, "breakpoints")
+        mx = as_finite(stage_mix, "stage mix")
         if bp.ndim != 2 or bp.shape[0] < 2:
             raise ValueError("breakpoints must be (n_stages+1, n_queues)")
         K = bp.shape[0] - 1
@@ -298,9 +296,7 @@ class CompositionProfile:
 
     @classmethod
     def single_stage(cls, Q, mix, spec: NetworkSpec) -> "CompositionProfile":
-        q = np.asarray(Q, dtype=float)
-        bp = np.vstack([np.zeros_like(q), q])
-        return cls(bp, np.asarray(mix, dtype=float)[None, :, :], spec)
+        return cls([np.zeros_like(Q, dtype=float), Q], [mix], spec)
 
 
 def large_deviations_rate(
@@ -320,7 +316,7 @@ def large_deviations_rate(
     composition it is the limit of -(1/c) log P(cQ) under the stationary
     law.  RuntimeError when the fair solve at Q does not converge.
     """
-    q = np.asarray(Q, dtype=float)
+    q = as_finite(Q, "queue vector")
     if q.shape != (spec.n_queues,):
         raise ValueError("queue vector length mismatch")
     if np.max(np.abs(profile.breakpoints[-1] - q)) > 1e-9:

@@ -57,7 +57,6 @@ class ExperimentConfig:
     kind: str
     spec: NetworkSpec
     polytope: CapacityPolytope
-    graph: InterferenceGraph | None
     network_name: str | None
     seeds: tuple[int, ...]
     out_dir: str | None
@@ -311,6 +310,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
             spec.schedule_list()
         except Exception as exc:
             raise ConfigError("sim.engine", f"{engine} needs enumerable schedules: {exc}") from None
+        if horizon != int(horizon):
+            raise ConfigError("sim.horizon", f"{engine} counts whole slots, got {horizon}")
         if engine == "prop-sched" and graph is not None:
             try:
                 perfect = is_perfect(graph)
@@ -330,7 +331,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         )
 
     return ExperimentConfig(
-        kind=kind, spec=spec, polytope=poly, graph=graph, network_name=name,
+        kind=kind, spec=spec, polytope=poly, network_name=name,
         seeds=seeds, out_dir=out_dir, sim=run, engine=engine, initial=initial,
         pairs=pairs, samples=samples, queue_vector=queue_vector, scales=scales,
         checks=checks, document=doc,

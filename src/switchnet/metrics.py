@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import as_integers
+from .model import as_indices, as_integers
 
 JOINT_CAP = 50
 
@@ -213,6 +213,7 @@ def collect_joint(source, pair, cap: int = JOINT_CAP) -> JointOccupancy:
     samples = np.asarray(source)
     if samples.ndim != 2 or len(samples) == 0:
         raise ValueError("need a nonempty (n, n_queues) sample array")
+    as_indices(pair, samples.shape[1], "pair")
     xa = np.minimum(samples[:, a], cap)
     xb = np.minimum(samples[:, b], cap)
     counts = np.zeros((cap + 1, cap + 1))

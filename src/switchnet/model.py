@@ -44,6 +44,24 @@ def as_integers(x, name: str) -> np.ndarray:
     return a.astype(np.int64, copy=False)
 
 
+def as_indices(x, n: int, name: str) -> np.ndarray:
+    """``as_integers(x, name)`` with every entry in 0..n-1: the one rule for an
+    index.  NetworkValidationError naming ``name`` and the range otherwise."""
+    a = as_integers(x, name)
+    if not all(0 <= v < n for v in a.flat):
+        raise NetworkValidationError(f"{name} must lie in 0..{n - 1}, got {x!r}")
+    return a
+
+
+def as_finite(x, name: str) -> np.ndarray:
+    """``x`` as a float array: the one rule for a real input.  NaN and
+    infinities raise ValueError naming ``name``."""
+    a = np.asarray(x, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite")
+    return a
+
+
 # -------------------- basic types --------------------
 
 
@@ -84,11 +102,9 @@ class InterferenceGraph:
             raise NetworkValidationError("interference graph needs at least one vertex")
         norm = set()
         adj = [0] * self.n
-        for u, v in as_integers(list(self.edges), "interference edges").tolist():
+        for u, v in as_indices(list(self.edges), self.n, "interference edges").tolist():
             if u == v:
                 raise NetworkValidationError(f"self-loop on vertex {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise NetworkValidationError(f"edge {(u, v)} out of range for n={self.n}")
             norm.add((min(u, v), max(u, v)))
             adj[u] |= 1 << v
             adj[v] |= 1 << u
@@ -190,11 +206,7 @@ class NetworkSpec:
             if r.id in seen:
                 raise NetworkValidationError(f"duplicate route id {r.id!r}")
             seen.add(r.id)
-            for j in r.path:
-                if not (0 <= j < self.n_queues):
-                    raise NetworkValidationError(
-                        f"route {r.id!r} references queue {j}, valid range is 0..{self.n_queues - 1}"
-                    )
+            as_indices(r.path, self.n_queues, f"route {r.id!r} path")
             hop[(-1,) + r.path, i] = r.path + (-1,)
             loads[list(r.path)] += r.rate
         hop.setflags(write=False)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import lapack
 
-from .model import CapacityPolytope, InterferenceGraph, as_integers, cliques_to_polytope
+from .model import CapacityPolytope, InterferenceGraph, as_finite, as_integers, cliques_to_polytope
 from .normconst import NormConstCache
 from .storeforward import store_forward_rates
 
@@ -164,11 +164,9 @@ def solve_prop_fair(
     slack) exact.  ``converged`` reports whether the KKT residual is at
     most ``tol``.
     """
-    q_raw = np.asarray(Q, dtype=float)
+    q_raw = as_finite(Q, "queue vector")
     if q_raw.shape != (polytope.n_queues,):
         raise ValueError("queue vector length does not match the polytope")
-    if not np.isfinite(q_raw).all():
-        raise ValueError("queue vector must be finite")
     if (q_raw < 0).any():
         raise ValueError("queue vector must be nonnegative")
     active = q_raw > 0
@@ -317,9 +315,7 @@ def _schedule_pools(S):
     key = (S.shape, S.tobytes())
     pools = _POOL_MEMO.get(key)
     if pools is None:
-        if not np.isfinite(S).all():
-            raise ValueError("schedules must be finite")
-        S = S.copy()
+        S = as_finite(S, "schedules").copy()
         served = S > 0
         conflicts = np.argwhere(np.triu(served.T.astype(int) @ served == 0, 1))
         A = cliques_to_polytope(InterferenceGraph.from_edges(S.shape[1], conflicts)).matrix
@@ -353,11 +349,9 @@ def decompose_mean(target, schedules) -> ScheduleDistribution:
     S = np.asarray(schedules, dtype=float)
     if S.ndim != 2:
         raise ValueError("schedules must be a 2-d array, one row per schedule")
-    t = np.asarray(target, dtype=float)
+    t = as_finite(target, "target")
     if t.shape != (S.shape[1],):
         raise ValueError("target length does not match schedule width")
-    if not np.isfinite(t).all():
-        raise ValueError("target must be finite")
     S, served, A, in_pool, width = _schedule_pools(S)
     x = np.maximum(t, 0.0)
     mass = 1.0

@@ -15,7 +15,7 @@ from collections import deque
 import numpy as np
 
 from .metrics import JOINT_CAP, SimConfig, TraceMetrics, batch_se
-from .model import CapacityPolytope, NetworkSpec, as_integers, compute_loads
+from .model import CapacityPolytope, NetworkSpec, as_indices, as_integers, compute_loads
 from .normconst import NormConstCache
 from .propfair import decompose_mean, require_converged, solve_prop_fair
 from .storeforward import draw_route_labels, route_label_law, store_forward_rates
@@ -75,6 +75,7 @@ class _Collector:
         self.soj_sum = [[0.0] * n_routes for _ in range(cfg.batches)]
         self.soj_cnt = [[0] * n_routes for _ in range(cfg.batches)]
         self.comp = [[0] * n_routes for _ in range(n_queues)]
+        as_indices(cfg.pairs, n_queues, "pairs")
         self.pair_hists = {
             pair: np.zeros((JOINT_CAP + 1, JOINT_CAP + 1)) for pair in cfg.pairs
         }
@@ -172,6 +173,12 @@ def _draw_chunks(rng):
             yield zip(exp_blk[lo: lo + _CHUNK].tolist(), uni_blk[lo: lo + _CHUNK].tolist())
 
 
+def _pool_matrix(spec: NetworkSpec, polytope: CapacityPolytope | None):
+    """A run's pool matrix (the spec's own by default) and its transient flag."""
+    polytope = spec.capacity_polytope() if polytope is None else polytope
+    return polytope, not compute_loads(spec, polytope).admissible
+
+
 def simulate_store_forward(
     spec: NetworkSpec,
     polytope: CapacityPolytope | None = None,
@@ -187,12 +194,9 @@ def simulate_store_forward(
     rates + per-queue service caps, with phantom events where the actual
     rates fall short.
     """
-    if polytope is None:
-        polytope = spec.capacity_polytope()
+    polytope, transient = _pool_matrix(spec, polytope)
     if cfg is None:
         raise ValueError("a SimConfig is required")
-    loads = compute_loads(spec, polytope)
-    transient = not loads.admissible
     J, R = spec.n_queues, spec.n_routes
     rates = spec.rates()
     arr_total = float(rates.sum())
@@ -325,7 +329,7 @@ def _slotted_run(spec, cfg, serve_fn, kind, initial, transient):
     """
     R = spec.n_routes
     rates = spec.rates()
-    horizon = int(cfg.horizon)
+    horizon = as_integers(cfg.horizon, "slot horizon").item()
     warm_slots = int(cfg.warmup_fraction * horizon)
     col = _Collector(spec, cfg, float(horizon), float(warm_slots))
     hop = spec.next_hop.tolist()
@@ -404,11 +408,9 @@ def simulate_prop_sched(
     queue-index order.  Lotteries are cached per queue vector; a solve that
     does not converge raises rather than feed the decomposition.
     """
-    if polytope is None:
-        polytope = spec.capacity_polytope()
+    polytope, transient = _pool_matrix(spec, polytope)
     # the dtype decompose_mean works in, converted once
     S = _schedule_array(spec, schedules).astype(float)
-    loads = compute_loads(spec, polytope)
     dist_cache: dict = {}
 
     def serve(rng, Q, X, fifo):
@@ -429,7 +431,7 @@ def simulate_prop_sched(
                 actions.append((j, r, by_route[r]))
         return actions
 
-    return _slotted_run(spec, cfg, serve, "prop-sched", initial, not loads.admissible)
+    return _slotted_run(spec, cfg, serve, "prop-sched", initial, transient)
 
 
 def simulate_backpressure(
@@ -456,8 +458,7 @@ def simulate_backpressure(
     if polytope is None and isinstance(spec.capacity, np.ndarray):
         transient = False  # a schedule list alone gives no pool loads to flag
     else:
-        pol = polytope if polytope is not None else spec.capacity_polytope()
-        transient = not compute_loads(spec, pol).admissible
+        transient = _pool_matrix(spec, polytope)[1]
 
     def serve(rng, Q, X, fifo):
         down_counts = np.where(down >= 0, X[np.maximum(down, 0), np.arange(R)[None, :]], 0)

@@ -14,7 +14,8 @@ import math
 
 import numpy as np
 
-from .model import CapacityPolytope, LoadProfile, NetworkSpec, as_integers, compute_loads
+from .model import (CapacityPolytope, LoadProfile, NetworkSpec, as_finite, as_indices,
+                    as_integers, compute_loads)
 from .normconst import NormConstCache, log_norm_const, log_norm_const_neighbours
 
 
@@ -44,10 +45,6 @@ def _admissible_loads(spec: NetworkSpec, polytope: CapacityPolytope) -> LoadProf
     if not loads.admissible:
         raise InadmissibleLoadError(f"pool loads {loads.pool_loads} not strictly below 1")
     return loads
-
-
-def _route_index(spec: NetworkSpec) -> dict[str, int]:
-    return {r.id: i for i, r in enumerate(spec.routes)}
 
 
 def _validate_fifo(Q, fifo, spec: NetworkSpec):
@@ -192,22 +189,19 @@ def expected_route_delay(route, spec: NetworkSpec, polytope: CapacityPolytope) -
     visit-count vector (which also covers hypothetical multi-visit routes).
     """
     loads = _admissible_loads(spec, polytope)
-    visits = np.zeros(spec.n_queues)
     if isinstance(route, str):
-        idx = _route_index(spec)
-        if route not in idx:
+        ids = [r.id for r in spec.routes]
+        if route not in ids:
             raise ValueError(f"unknown route id {route!r}")
-        for j in spec.routes[idx[route]].path:
-            visits[j] += 1.0
-    elif hasattr(route, "path"):
-        for j in route.path:
-            visits[j] += 1.0
+        route = spec.routes[ids.index(route)]
+    if hasattr(route, "path"):
+        visits = np.zeros(spec.n_queues)
+        visits[as_indices(route.path, spec.n_queues, f"route {route.id!r} path")] = 1.0
     else:
-        v = np.asarray(route, dtype=float)
-        if v.shape != (spec.n_queues,):
+        visits = as_finite(route, "visit counts")
+        if visits.shape != (spec.n_queues,):
             raise ValueError("visit-count vector has wrong length")
-        if np.any(v < 0):
+        if np.any(visits < 0):
             raise ValueError("visit counts must be nonnegative")
-        visits = v
     m_bar = 1.0 / (1.0 - loads.pool_loads)
     return float(m_bar @ polytope.matrix @ visits)

@@ -51,7 +51,10 @@ def config_overrides(draw):
         "network": st.sampled_from(["k22", "cycle4", "one-edge", "tri-grid"]),
     }
     keys = draw(st.sets(st.sampled_from(sorted(values)), max_size=len(values)))
-    return {k: draw(values[k]) for k in sorted(keys)}
+    out = {k: draw(values[k]) for k in sorted(keys)}
+    if "sim.horizon" in out and out.get("sim.engine", "store-forward") != "store-forward":
+        out["sim.horizon"] = draw(st.integers(1, 10**6))  # a slotted engine counts whole slots
+    return out
 
 
 @st.composite

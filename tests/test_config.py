@@ -12,6 +12,7 @@ from switchnet.config import (
     parse_config,
 )
 from switchnet.metrics import SimConfig
+from switchnet.model import InterferenceGraph
 
 from strategies import config_overrides
 
@@ -57,7 +58,7 @@ def test_edges_capacity():
             },
         }
     )
-    assert cfg.graph is not None
+    assert isinstance(cfg.spec.capacity, InterferenceGraph)
     assert cfg.polytope.matrix.shape == (1, 2)
 
 

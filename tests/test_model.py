@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from switchnet.analysis import balance_check, independence_test, log_norm_const_scaling
+from switchnet.analysis import (
+    CompositionProfile,
+    balance_check,
+    independence_test,
+    large_deviations_rate,
+    log_norm_const_scaling,
+    queues_share_pool,
+)
+from switchnet.config import parse_config
 from switchnet.metrics import SimConfig, collect_joint
 from switchnet.model import (
     CapacityPolytope,
@@ -25,7 +33,7 @@ from switchnet.normconst import log_norm_const_neighbours, norm_const_table
 from switchnet.presets import load_example
 from switchnet.propfair import sf_pf_gap
 from switchnet.sim import simulate_backpressure, simulate_prop_sched, simulate_store_forward
-from switchnet.storeforward import StationarySampler, log_stationary_weight
+from switchnet.storeforward import StationarySampler, expected_route_delay, log_stationary_weight
 
 
 def test_route_validation():
@@ -315,6 +323,74 @@ FRACTIONAL_INPUTS = {
 def test_fractional_integer_inputs_refused(name):
     with pytest.raises(ValueError, match="must hold integers"):
         FRACTIONAL_INPUTS[name]()
+
+
+_MERGE = load_example("merge")
+_TANDEM_MIX = [[[1.0], [1.0]]]
+
+
+def _tandem_draws():
+    return StationarySampler(_TANDEM.spec, _TANDEM.polytope, seed=0).sample_queues(10_000)
+
+
+def _slotted_config(engine):
+    return {"kind": "simulate", "network": "one-edge", "sim": {"engine": engine, "horizon": 2.5}}
+
+
+# inputs that name no queue, hold a real that is not finite or ask for a
+# fraction of a slot, each with the refusal it must meet
+OUT_OF_RANGE_INPUTS = {
+    "sf-pair-negative": lambda: simulate_store_forward(
+        _MERGE.spec, _MERGE.polytope, SimConfig(horizon=5, seed=0, pairs=((-1, 0),))),
+    "sf-pair-past-last": lambda: simulate_store_forward(
+        _MERGE.spec, _MERGE.polytope, SimConfig(horizon=5, seed=0, pairs=((3, 0),))),
+    "backpressure-pair-negative": lambda: simulate_backpressure(
+        _ONE_EDGE.spec, _ONE_EDGE.schedules(), SimConfig(horizon=5, seed=0, pairs=((-1, 0),))),
+    "backpressure-pair-past-last": lambda: simulate_backpressure(
+        _ONE_EDGE.spec, _ONE_EDGE.schedules(), SimConfig(horizon=5, seed=0, pairs=((2, 0),))),
+    "prop-sched-pair-negative": lambda: simulate_prop_sched(
+        _ONE_EDGE.spec, _ONE_EDGE.schedules(), SimConfig(horizon=5, seed=0, pairs=((-1, 0),))),
+    "prop-sched-pair-past-last": lambda: simulate_prop_sched(
+        _ONE_EDGE.spec, _ONE_EDGE.schedules(), SimConfig(horizon=5, seed=0, pairs=((2, 0),))),
+    "joint-pair-negative": lambda: collect_joint(np.zeros((3, 2), dtype=int), (-1, 1)),
+    "joint-pair-past-last": lambda: collect_joint(np.zeros((3, 2), dtype=int), (2, 1)),
+    "share-pool-negative": lambda: queues_share_pool(_MERGE.polytope, -1, 2),
+    "share-pool-past-last": lambda: queues_share_pool(_MERGE.polytope, 3, 2),
+    "independence-pair-negative": lambda: independence_test(
+        _tandem_draws(), (-1, 0), _TANDEM.polytope),
+    "independence-pair-past-last": lambda: independence_test(
+        _tandem_draws(), (2, 0), _TANDEM.polytope),
+    "delay-route-path": lambda: expected_route_delay(
+        Route("x", (-1,), 0.1), _TANDEM.spec, _TANDEM.polytope),
+}
+NON_FINITE_INPUTS = {
+    "profile-breakpoints": lambda: CompositionProfile(
+        [[0, 0], [np.nan, 1]], _TANDEM_MIX, _TANDEM.spec),
+    "profile-mix": lambda: CompositionProfile(
+        [[0, 0], [1, 1]], [[[np.nan], [1.0]]], _TANDEM.spec),
+    "rate-queue-vector": lambda: large_deviations_rate(
+        [np.nan, 0], CompositionProfile([[0, 0], [0, 0]], _TANDEM_MIX, _TANDEM.spec),
+        _TANDEM.spec, _TANDEM.polytope),
+    "delay-visits-nan": lambda: expected_route_delay([np.nan, 1], _TANDEM.spec, _TANDEM.polytope),
+    "delay-visits-inf": lambda: expected_route_delay([np.inf, 1], _TANDEM.spec, _TANDEM.polytope),
+}
+REFUSED_INPUTS = {
+    **{name: ("must lie in", call) for name, call in OUT_OF_RANGE_INPUTS.items()},
+    **{name: ("must be finite", call) for name, call in NON_FINITE_INPUTS.items()},
+    "backpressure-fractional-slots": ("slot horizon must hold integers", lambda: simulate_backpressure(
+        _ONE_EDGE.spec, _ONE_EDGE.schedules(), SimConfig(horizon=2.9, batches=2, warmup_fraction=0))),
+    "prop-sched-fractional-slots": ("slot horizon must hold integers", lambda: simulate_prop_sched(
+        _ONE_EDGE.spec, _ONE_EDGE.schedules(), SimConfig(horizon=2.9, batches=2, warmup_fraction=0))),
+    "config-backpressure-slots": ("sim.horizon", lambda: parse_config(_slotted_config("backpressure"))),
+    "config-prop-sched-slots": ("sim.horizon", lambda: parse_config(_slotted_config("prop-sched"))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED_INPUTS))
+def test_inputs_naming_no_queue_or_not_finite_refused(name):
+    match, call = REFUSED_INPUTS[name]
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 def test_integer_valued_floats_match_int_arrays():

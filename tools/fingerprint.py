@@ -20,8 +20,9 @@ queue pair, checkpoints); prop-sched and backpressure traces, Poisson and
 Bernoulli, on every graph preset and one schedule-only network; 200
 exact stationary states per network; fair solves and their lotteries on
 fixed states, plus weighted random polytopes; tilted and untilted log Phi
-with neighbours; and ``metrics.csv`` and ``summary.json`` of every CLI
-kind.
+with neighbours; the mean delay of each route's visit-count vector and of
+one multi-visit vector per network; and ``metrics.csv`` and
+``summary.json`` of every CLI kind.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from switchnet.sim import (  # noqa: E402
     simulate_prop_sched,
     simulate_store_forward,
 )
-from switchnet.storeforward import StationarySampler  # noqa: E402
+from switchnet.storeforward import StationarySampler, expected_route_delay  # noqa: E402
 
 # store-forward events per trace (uniformized clock), slots per slotted trace
 SF_EVENTS = {"grid3x3": 2000}
@@ -180,6 +181,15 @@ def _weighted(out):
             lambda: [solve_prop_fair(q, poly) for q in (q_int, q_real)])
 
 
+def _delays(out, examples):
+    for ex in examples:
+        spec, poly = ex.spec, ex.polytope
+        J = spec.n_queues
+        visits = [np.bincount(r.path, minlength=J).astype(float) for r in spec.routes]
+        visits.append(np.array([1.0 + j % 3 for j in range(J)]))  # visits some queues twice
+        out[f"delay/{ex.name}"] = _digest(lambda: [expected_route_delay(v, spec, poly) for v in visits])
+
+
 def _cli(out, examples):
     docs = []
     for ex in examples:
@@ -238,6 +248,7 @@ def main():
     _traces(out, examples)
     _stationary(out, examples)
     _weighted(out)
+    _delays(out, examples)
     _cli(out, examples)
     json.dump(out, sys.stdout, indent=0, sort_keys=True)
     print()
