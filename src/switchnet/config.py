@@ -26,6 +26,7 @@ from .model import (
     InterferenceGraph,
     NetworkSpec,
     Route,
+    as_pairs,
     cliques_to_polytope,
     is_perfect,
 )
@@ -204,10 +205,10 @@ def _parse_pairs(raw, n, path):
         if (not isinstance(p, (list, tuple)) or len(p) != 2
                 or not all(_of_type(x, int) for x in p)):
             raise ConfigError(f"{path}[{i}]", "expected a [queue, queue] pair")
-        j, k = p
-        if not (0 <= j < n and 0 <= k < n) or j == k:
-            raise ConfigError(f"{path}[{i}]", f"queue indices must be distinct and in 0..{n - 1}")
-        pairs.append((j, k))
+        try:
+            pairs.append(tuple(as_pairs([p], "queue pair", n)[0].tolist()))
+        except ValueError as exc:
+            raise ConfigError(f"{path}[{i}]", str(exc)) from None
     return tuple(pairs)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import as_indices, as_integers
+from .model import as_indices, as_pairs
 
 JOINT_CAP = 50
 
@@ -48,9 +48,7 @@ class SimConfig:
             raise ValueError("slot arrival model must be 'poisson' or 'bernoulli'")
         if self.checkpoints < 0:
             raise ValueError("checkpoint count must be nonnegative")
-        pairs = as_integers(self.pairs, "pairs")
-        if pairs.size and pairs.shape[1:] != (2,):
-            raise ValueError("pairs must be (queue, queue) tuples")
+        pairs = as_pairs(self.pairs, "pairs")
         object.__setattr__(self, "pairs", tuple(map(tuple, pairs.tolist())))
 
 
@@ -201,7 +199,7 @@ def collect_joint(source, pair, cap: int = JOINT_CAP) -> JointOccupancy:
     or a TraceMetrics whose config requested this pair.  Values above
     ``cap`` are lumped into the top bin.
     """
-    a, b = pair = tuple(as_integers(pair, "pair").tolist())
+    a, b = pair = tuple(as_pairs([pair], "pair")[0].tolist())
     if isinstance(source, TraceMetrics):
         if pair not in source.joint_histograms:
             raise KeyError(f"pair {pair} was not recorded; pass it in SimConfig.pairs")

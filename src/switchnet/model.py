@@ -53,6 +53,15 @@ def as_indices(x, n: int, name: str) -> np.ndarray:
     return a
 
 
+def as_pairs(x, name: str, n: int | None = None) -> np.ndarray:
+    """``x`` as rows (j, k) of two distinct queues, in 0..n-1 when ``n`` is given:
+    the one rule for queue pairs.  NetworkValidationError naming ``name`` otherwise."""
+    a = as_integers(x, name) if n is None else as_indices(x, n, name)
+    if a.size and (a.shape[1:] != (2,) or np.any(a[:, 0] == a[:, 1])):
+        raise NetworkValidationError(f"{name} must be (queue, queue) rows of distinct queues, got {x!r}")
+    return a
+
+
 def as_finite(x, name: str) -> np.ndarray:
     """``x`` as a float array: the one rule for a real input.  NaN and
     infinities raise ValueError naming ``name``."""
@@ -116,9 +125,11 @@ class InterferenceGraph:
         return cls(n=n, edges=frozenset(map(tuple, pairs)))
 
     def adjacent(self, u: int, v: int) -> bool:
+        u, v = as_indices((u, v), self.n, "vertices").tolist()
         return (min(u, v), max(u, v)) in self.edges
 
     def neighbors(self, v: int) -> set[int]:
+        v = as_indices(v, self.n, "vertex").item()
         return {u for u in range(self.n) if self.adj[v] >> u & 1}
 
     def complement(self) -> "InterferenceGraph":
@@ -169,10 +180,10 @@ class CapacityPolytope:
         return self.matrix.shape[1]
 
     def members(self, l: int) -> list[int]:
-        return np.flatnonzero(self.matrix[l] > 0).tolist()
+        return np.flatnonzero(self.matrix[as_indices(l, self.n_pools, "pool").item()] > 0).tolist()
 
     def pools_of(self, j: int) -> list[int]:
-        return np.flatnonzero(self.matrix[:, j] > 0).tolist()
+        return np.flatnonzero(self.matrix[:, as_indices(j, self.n_queues, "queue").item()] > 0).tolist()
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ exactly the schedules.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -296,9 +297,12 @@ class ScheduleDistribution:
     def support_size(self) -> int:
         return len(self.probabilities)
 
+    def draw(self, rng: np.random.Generator) -> int:
+        """The row of one schedule drawn with a single uniform."""
+        return min(bisect_right(self._cum, rng.random()), len(self._cum) - 1)
+
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        k = int(np.searchsorted(self._cum, rng.random(), side="right"))
-        return self.schedules[min(k, len(self.schedules) - 1)]
+        return self.schedules[self.draw(rng)]
 
 
 # the pools of the schedule lists seen last, keyed by (shape, bytes) of the

@@ -3,7 +3,7 @@ store-forward network (uniformization), and slotted simulations of the
 proportional scheduler and backpressure, all emitting TraceMetrics.
 
 Every run is reproducible from its seed.  The inner loops stay in plain
-Python with block-drawn random numbers; state vectors are small.
+Python over lists; state vectors are small.
 """
 
 from __future__ import annotations
@@ -314,24 +314,23 @@ def simulate_store_forward(
     return col.finalize("store-forward", admitted, departed, sum(Q), transient, checkpoints)
 
 
-def _slot_arrivals(rng, rates, mode):
-    if mode == "poisson":
-        return rng.poisson(rates)
-    return (rng.random(len(rates)) < rates).astype(np.int64)
-
-
 def _slotted_run(spec, cfg, serve_fn, kind, initial, transient):
     """Common slot loop: arrivals, policy-specific service, collection.
 
     serve_fn(rng, Q, X, fifo) takes the packets it serves off the queue
     FIFOs of (route, arrival slot) and returns a list of
-    (queue, route, arrival slots) actions it took.
+    (queue, route, arrival slots) actions it took; X holds per-queue lists
+    of route counts.  One scalar Poisson draw per route is the sampler and
+    stream of ``rng.poisson(rates)``.
     """
     R = spec.n_routes
-    rates = spec.rates()
+    rates = spec.rates().tolist()
+    bernoulli = cfg.slot_arrivals == "bernoulli"
     horizon = as_integers(cfg.horizon, "slot horizon").item()
     warm_slots = int(cfg.warmup_fraction * horizon)
     col = _Collector(spec, cfg, float(horizon), float(warm_slots))
+    log_b, log_seg, log_id = col.log_b.append, col.log_seg.append, col.log_id.append
+    logged, index, comp = col.log_seg, col.index, col.comp
     hop = spec.next_hop.tolist()
     first = hop[-1]
     rng = np.random.default_rng(cfg.seed)
@@ -340,33 +339,33 @@ def _slotted_run(spec, cfg, serve_fn, kind, initial, transient):
     content = X.sum(axis=0).tolist()
     admitted = int(X.sum())
     departed = 0
-    index = col.index
+    X = X.tolist()
     cp_slots = {int(v) for v in np.linspace(warm_slots, horizon - 1, cfg.checkpoints)}
     checkpoints = []
 
     for slot in range(horizon):
-        counts = _slot_arrivals(rng, rates, cfg.slot_arrivals)
-        for r in range(R):
-            c = int(counts[r])
+        counts = ([int(u < a) for u, a in zip(rng.random(R).tolist(), rates)] if bernoulli
+                  else [rng.poisson(a) for a in rates])
+        for r, c in enumerate(counts):
             if c:
                 j = first[r]
                 fifo[j].extend([(r, slot)] * c)
                 Q[j] += c
-                X[j, r] += c
+                X[j][r] += c
                 content[r] += c
                 admitted += c
         if any(Q):
             for j, r, arr_slots in serve_fn(rng, Q, X, fifo):
                 n = len(arr_slots)
                 Q[j] -= n
-                X[j, r] -= n
+                X[j][r] -= n
                 if slot >= warm_slots:
-                    col.comp[j][r] += n
+                    comp[j][r] += n
                 k = hop[j][r]
                 if k >= 0:
                     fifo[k].extend((r, a) for a in arr_slots)
                     Q[k] += n
-                    X[k, r] += n
+                    X[k][r] += n
                 else:
                     departed += n
                     content[r] -= n
@@ -374,13 +373,13 @@ def _slotted_run(spec, cfg, serve_fn, kind, initial, transient):
                         if a >= warm_slots:
                             col.sojourn(float(slot), r, float(slot - a + 1))
         if slot >= warm_slots:
-            col.log_b.append(col.batch_of(float(slot)))
-            col.log_seg.append(1.0)
-            col.log_id.append(index.setdefault((*Q, *content), len(index)))
-            if len(col.log_seg) == _CHUNK:
+            log_b(col.batch_of(float(slot)))
+            log_seg(1.0)
+            log_id(index.setdefault((*Q, *content), len(index)))
+            if len(logged) == _CHUNK:
                 col.flush()
         if slot in cp_slots:
-            checkpoints.append((float(slot), np.array(Q, dtype=np.int64), X.copy()))
+            checkpoints.append((float(slot), np.array(Q, dtype=np.int64), np.array(X, dtype=np.int64)))
 
     return col.finalize(kind, admitted, departed, sum(Q), transient, checkpoints)
 
@@ -411,20 +410,21 @@ def simulate_prop_sched(
     polytope, transient = _pool_matrix(spec, polytope)
     # the dtype decompose_mean works in, converted once
     S = _schedule_array(spec, schedules).astype(float)
-    dist_cache: dict = {}
+    # per queue vector: the lottery's draw and its schedules as int rows
+    lotteries: dict = {}
 
     def serve(rng, Q, X, fifo):
         key = tuple(Q)
-        dist = dist_cache.get(key)
-        if dist is None:
+        lottery = lotteries.get(key)
+        if lottery is None:
             sol = require_converged(solve_prop_fair(Q, polytope), key)
             dist = decompose_mean(sol.rates, S)
-            dist_cache[key] = dist
-        sched = dist.sample(rng)
+            lottery = lotteries[key] = (dist.draw, dist.schedules.astype(np.int64).tolist())
+        draw, rows = lottery
         actions = []
-        for j in range(len(Q)):
+        for j, s_j in enumerate(rows[draw(rng)]):
             by_route: dict = {}
-            for _ in range(min(int(sched[j]), Q[j])):
+            for _ in range(min(s_j, Q[j])):
                 r, a = fifo[j].popleft()
                 by_route.setdefault(r, []).append(a)
             for r in sorted(by_route):
@@ -450,29 +450,35 @@ def simulate_backpressure(
     (lowest route id on ties).  Queues with weight zero are never served.
     """
     S = _schedule_array(spec, schedules)
-    order_ix = np.lexsort(S.T[::-1])
-    S = S[order_ix]
-    J, R = spec.n_queues, spec.n_routes
-    down = spec.next_hop[:-1]
-    on_route = down != -2
+    S = S[np.lexsort(S.T[::-1])]
+    # per queue, its (route, next queue) pairs by route id; -1 past the last hop
+    hops = [[(r, k) for r, k in enumerate(row) if k != -2] for row in spec.next_hop[:-1].tolist()]
     if polytope is None and isinstance(spec.capacity, np.ndarray):
         transient = False  # a schedule list alone gives no pool loads to flag
     else:
         transient = _pool_matrix(spec, polytope)[1]
 
     def serve(rng, Q, X, fifo):
-        down_counts = np.where(down >= 0, X[np.maximum(down, 0), np.arange(R)[None, :]], 0)
-        diff = np.where(on_route, X - down_counts, np.iinfo(np.int64).min)
-        w = np.maximum(diff.max(axis=1, initial=np.iinfo(np.int64).min), 0)
-        if not w.any():
+        # each queue's weight and heaviest route: the first (lowest id) route
+        # of largest positive differential
+        w, heaviest = [], []
+        for j, pairs in enumerate(hops):
+            x = X[j]
+            w_j = r_j = 0
+            for r, k in pairs:
+                d = x[r] - X[k][r] if k >= 0 else x[r]
+                if d > w_j:
+                    w_j, r_j = d, r
+            w.append(w_j)
+            heaviest.append(r_j)
+        if not any(w):
             return []
-        sched = S[int(np.argmax(S @ w))]
         actions = []
-        for j in range(J):
-            if sched[j] <= 0 or w[j] <= 0:
+        for j, s_j in enumerate(S[np.argmax(S @ w)].tolist()):
+            if s_j <= 0 or w[j] <= 0:
                 continue
-            r = int(np.argmax(diff[j]))
-            n = int(min(sched[j], X[j, r]))
+            r = heaviest[j]
+            n = min(s_j, X[j][r])
             # the n oldest packets of route r leave; the rest keep their order
             got, kept = [], deque()
             for p in fifo[j]:

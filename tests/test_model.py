@@ -362,6 +362,19 @@ OUT_OF_RANGE_INPUTS = {
         _tandem_draws(), (2, 0), _TANDEM.polytope),
     "delay-route-path": lambda: expected_route_delay(
         Route("x", (-1,), 0.1), _TANDEM.spec, _TANDEM.polytope),
+    "pools-of-negative": lambda: _MERGE.polytope.pools_of(-1),
+    "pools-of-past-last": lambda: _MERGE.polytope.pools_of(3),
+    "members-negative": lambda: _MERGE.polytope.members(-1),
+    "neighbors-negative": lambda: _ONE_EDGE.graph.neighbors(-1),
+    "adjacent-past-last": lambda: _ONE_EDGE.graph.adjacent(0, 5),
+}
+# a queue paired with itself: one rule, at every site that takes a pair
+SELF_PAIR_INPUTS = {
+    "config-self-pair": lambda: parse_config(
+        {"kind": "independence", "network": "k22", "independence": {"pairs": [[1, 2], [0, 0]]}}),
+    "sim-config-self-pair": lambda: SimConfig(horizon=5, pairs=((0, 1), (1, 1))),
+    "joint-self-pair": lambda: collect_joint(np.zeros((3, 2), dtype=int), (1, 1)),
+    "independence-self-pair": lambda: independence_test(_tandem_draws(), (0, 0), _TANDEM.polytope),
 }
 NON_FINITE_INPUTS = {
     "profile-breakpoints": lambda: CompositionProfile(
@@ -377,6 +390,7 @@ NON_FINITE_INPUTS = {
 REFUSED_INPUTS = {
     **{name: ("must lie in", call) for name, call in OUT_OF_RANGE_INPUTS.items()},
     **{name: ("must be finite", call) for name, call in NON_FINITE_INPUTS.items()},
+    **{name: ("distinct queues", call) for name, call in SELF_PAIR_INPUTS.items()},
     "backpressure-fractional-slots": ("slot horizon must hold integers", lambda: simulate_backpressure(
         _ONE_EDGE.spec, _ONE_EDGE.schedules(), SimConfig(horizon=2.9, batches=2, warmup_fraction=0))),
     "prop-sched-fractional-slots": ("slot horizon must hold integers", lambda: simulate_prop_sched(

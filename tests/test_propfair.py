@@ -300,6 +300,27 @@ def test_distribution_sampling_deterministic():
     np.testing.assert_allclose(draws.mean(axis=0), dist.mean, atol=0.01)
 
 
+def test_draw_is_the_right_sided_search_with_a_clamp():
+    # a uniform equal to a cumulative weight selects the next row, as
+    # np.searchsorted(side="right") does; one at or past a total that rounds
+    # below 1 selects the last row
+    dist = ScheduleDistribution(schedules=np.array([[0, 0], [1, 0], [0, 1]]),
+                                probabilities=np.array([0.1, 0.2, 0.7 - 1e-12]))
+
+    class Fixed:
+        def __init__(self, u):
+            self.u = u
+
+        def random(self):
+            return self.u
+
+    cum = np.cumsum(dist.probabilities)
+    for u in [0.0, *cum.tolist(), np.nextafter(cum[0], 0), 0.5, cum[-1], 0.9999999999995]:
+        k = min(int(np.searchsorted(cum, u, side="right")), 2)
+        assert dist.draw(Fixed(u)) == k
+        assert dist.sample(Fixed(u)).tolist() == dist.schedules[k].tolist()
+
+
 def test_decompose_rejects_bad_target():
     sched = np.array([[0, 0], [1, 0], [0, 1]])
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import deque
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from switchnet import sim
 from switchnet.metrics import JOINT_CAP, SimConfig, collect_joint
 from switchnet.model import (
-    CapacityPolytope, NetworkSpec, NetworkValidationError, Route, compute_loads, enumerate_schedules,
+    CapacityPolytope, InterferenceGraph, NetworkSpec, NetworkValidationError, Route, compute_loads,
+    enumerate_schedules,
 )
 from switchnet.presets import load_example, scaled_rates
 from switchnet.propfair import decompose_mean, solve_prop_fair
@@ -356,3 +358,125 @@ def test_prop_sched_multi_pool_presets(name, load):
         )
         assert tr.conservation_ok()
         assert not tr.transient
+
+
+def _backpressure_serve(spec, schedules):
+    """The serve function simulate_backpressure hands to its slot loop."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "_slotted_run", lambda spec, cfg, serve, *rest: serve)
+        return simulate_backpressure(spec, schedules, SimConfig(horizon=1))
+
+
+def _backpressure_oracle(spec, S, X):
+    """(queue, route, served) of one backpressure slot by the numpy formula:
+    weights max(0, max_r X_jr - X_kr), the first schedule of largest
+    weighted sum in lexicographic order, the first route of largest
+    differential."""
+    S = S[np.lexsort(S.T[::-1])]
+    X = np.array(X, dtype=np.int64)
+    down = spec.next_hop[:-1]
+    low = np.iinfo(np.int64).min
+    down_counts = np.where(down >= 0, X[np.maximum(down, 0), np.arange(spec.n_routes)[None, :]], 0)
+    diff = np.where(down != -2, X - down_counts, low)
+    w = np.maximum(diff.max(axis=1, initial=low), 0)
+    if not w.any():
+        return []
+    sched = S[int(np.argmax(S @ w))]
+    served = []
+    for j in range(spec.n_queues):
+        if sched[j] > 0 and w[j] > 0:
+            r = int(np.argmax(diff[j]))
+            served.append((j, r, int(min(sched[j], X[j, r]))))
+    return served
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_backpressure_slot_matches_the_numpy_formula(data):
+    # small counts make equal weights and equal differentials common, so the
+    # schedule and route tie-breaks are exercised
+    J = data.draw(st.integers(1, 5), "queues")
+    paths = data.draw(st.lists(st.lists(st.integers(0, J - 1), min_size=1, max_size=3, unique=True),
+                               min_size=1, max_size=4), "paths")
+    spec = NetworkSpec(J, [Route(f"r{i}", tuple(p), 0.1) for i, p in enumerate(paths)],
+                       CapacityPolytope(np.eye(J)))
+    on = spec.next_hop[:-1] != -2
+    X = [[data.draw(st.integers(0, 3)) if on[j, r] else 0 for r in range(len(paths))]
+         for j in range(J)]
+    S = np.array(data.draw(st.lists(st.lists(st.integers(0, 2), min_size=J, max_size=J),
+                                    min_size=1, max_size=6), "schedules"))
+    fifo = []
+    for j in range(J):
+        packets = [r for r in range(len(paths)) for _ in range(X[j][r])]
+        fifo.append(deque(zip(data.draw(st.permutations(packets)), range(len(packets)))))
+    before = [list(f) for f in fifo]
+    actions = _backpressure_serve(spec, S)(None, [sum(x) for x in X], X, fifo)
+    assert [(j, r, len(got)) for j, r, got in actions] == _backpressure_oracle(spec, S, X)
+    for j, r, got in actions:
+        # the oldest packets of the route leave; the rest keep their order
+        assert got == [a for q, a in before[j] if q == r][:len(got)]
+        assert list(fifo[j]) == [p for p in before[j] if p[0] != r or p[1] not in got]
+
+
+def test_slot_arrivals_follow_the_array_stream(monkeypatch):
+    # one scalar draw per route gives the values rng.poisson(rates) gives,
+    # interleaved with uniforms, for a zero rate and on both sides of numpy's
+    # switch of Poisson method at 10
+    rates = np.array([0.0, 0.3, 2.0, 15.0, 40.0])
+    a, b = np.random.default_rng(7), np.random.default_rng(7)
+    for _ in range(300):
+        assert [a.poisson(lam) for lam in rates.tolist()] == b.poisson(rates).tolist()
+        assert a.random() == b.random()
+    # and the slot loop takes them in that order: one slot's arrivals, then
+    # the lottery's uniform; a loop that drew arrivals in blocks would not
+    make_rng, calls = np.random.default_rng, []
+
+    class Recorder:
+        def __init__(self, seed):
+            self.rng = make_rng(seed)
+
+        def poisson(self, lam):
+            calls.append(("poisson", self.rng.poisson(lam)))
+            return calls[-1][1]
+
+        def random(self, size=None):
+            calls.append(("random", self.rng.random(size)))
+            return calls[-1][1]
+
+    monkeypatch.setattr(np.random, "default_rng", Recorder)
+    spec = NetworkSpec(2, [Route("slow", (0,), 0.4), Route("fast", (1,), 12.0)],
+                       InterferenceGraph.from_edges(2, [(0, 1)]))
+    for mode in ("poisson", "bernoulli"):
+        calls.clear()
+        cfg = SimConfig(horizon=150, seed=3, slot_arrivals=mode)
+        simulate_prop_sched(spec, spec.schedule_list(), cfg, polytope=CapacityPolytope(np.ones((1, 2))))
+        ref = make_rng(3)
+        for _ in range(cfg.horizon):
+            if mode == "poisson":
+                want, got = ref.poisson(spec.rates()).tolist(), []
+                while len(got) < len(want):
+                    kind, value = calls.pop(0)
+                    assert kind == "poisson"
+                    got += np.ravel(value).tolist()
+            else:
+                want, (kind, got) = ref.random(2), calls.pop(0)
+                assert kind == "random" and np.shape(got) == (2,)
+            assert np.array_equal(got, want)
+            if calls and calls[0][0] == "random" and np.ndim(calls[0][1]) == 0:
+                assert calls.pop(0)[1] == ref.random()
+        assert not calls
+
+
+@pytest.mark.parametrize("simulate", [simulate_prop_sched, simulate_backpressure])
+def test_slotted_chunk_boundaries_leave_a_run_unchanged(simulate, monkeypatch):
+    # the collector flushes every _CHUNK logged slots: of the 4800 logged
+    # here, chunks of 64 and 100 flush at different slots many times, and
+    # 4096 once, mid-run
+    ex = load_example("tandem4")
+    cfg = SimConfig(horizon=6000, seed=9, pairs=((0, 2),), checkpoints=5)
+    runs = []
+    for chunk in (64, 100, 4096):
+        monkeypatch.setattr(sim, "_CHUNK", chunk)
+        runs.append(simulate(ex.spec, ex.schedules(), cfg, initial=(3, 0, 2, 1)))
+    for other in runs[1:]:
+        _assert_same_trace(runs[0], other)

@@ -17,7 +17,9 @@ takes about ten seconds on two cores.
 
 Covered: store-forward traces on every catalogue network (initial fill, a
 queue pair, checkpoints); prop-sched and backpressure traces, Poisson and
-Bernoulli, on every graph preset and one schedule-only network; 200
+Bernoulli, on every graph preset and one schedule-only network, and runs
+longer than one collector chunk on ``k22`` and on ``merge``'s three routes
+over an interference graph, where one queue carries several routes; 200
 exact stationary states per network; fair solves and their lotteries on
 fixed states, plus weighted random polytopes; tilted and untilted log Phi
 with neighbours; the mean delay of each route's visit-count vector and of
@@ -45,9 +47,9 @@ import numpy as np  # noqa: E402
 
 from switchnet import cli  # noqa: E402
 from switchnet.metrics import SimConfig  # noqa: E402
-from switchnet.model import CapacityPolytope, NetworkSpec, Route  # noqa: E402
+from switchnet.model import CapacityPolytope, InterferenceGraph, NetworkSpec, Route  # noqa: E402
 from switchnet.normconst import NormConstCache, log_norm_const, log_norm_const_neighbours  # noqa: E402
-from switchnet.presets import list_examples  # noqa: E402
+from switchnet.presets import list_examples, load_example  # noqa: E402
 from switchnet.propfair import decompose_mean, solve_prop_fair  # noqa: E402
 from switchnet.sim import (  # noqa: E402
     simulate_backpressure,
@@ -60,6 +62,8 @@ from switchnet.storeforward import StationarySampler, expected_route_delay  # no
 SF_EVENTS = {"grid3x3": 2000}
 SF_EVENTS_DEFAULT = 20_000
 SLOTS = 1000
+# past sim._CHUNK (4096) logged slots at the default warmup
+LONG_SLOTS = 6000
 STATES = 200
 SOLVE_STATES = 30
 RANDOM_POLYTOPES = 40
@@ -133,6 +137,21 @@ def _traces(out, examples):
         cfg = SimConfig(horizon=SLOTS, seed=13, pairs=((0, 2),), checkpoints=4, slot_arrivals=mode)
         out[f"backpressure/{mode}/schedule-only"] = _digest(
             lambda: simulate_backpressure(only, only.capacity, cfg, initial=(1, 2, 1)))
+
+
+def _long_slotted(out):
+    # merge's queue 2 carries all three routes; here it conflicts with both feeders
+    merge_graph = NetworkSpec(3, load_example("merge").spec.routes,
+                              InterferenceGraph.from_edges(3, [(0, 2), (1, 2)]))
+    for name, spec in (("k22", load_example("k22").spec), ("merge-graph", merge_graph)):
+        sched = spec.schedule_list()
+        for mode in ("poisson", "bernoulli"):
+            cfg = SimConfig(horizon=LONG_SLOTS, seed=14, pairs=((0, 2),), checkpoints=3,
+                            slot_arrivals=mode)
+            out[f"long/prop-sched/{mode}/{name}"] = _digest(
+                lambda: simulate_prop_sched(spec, sched, cfg, initial=_fill(spec)))
+            out[f"long/backpressure/{mode}/{name}"] = _digest(
+                lambda: simulate_backpressure(spec, sched, cfg, initial=_fill(spec)))
 
 
 def _stationary(out, examples):
@@ -246,6 +265,7 @@ def main():
     examples = list_examples()
     out = {}
     _traces(out, examples)
+    _long_slotted(out)
     _stationary(out, examples)
     _weighted(out)
     _delays(out, examples)
