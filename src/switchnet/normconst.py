@@ -23,7 +23,7 @@ import itertools
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 from scipy.special import gammaln
 
 from .model import CapacityPolytope, CapExceededError, as_integers
@@ -97,21 +97,6 @@ def _queue_vector(Q, n_queues: int) -> np.ndarray:
     return q
 
 
-def _log_kernel(counts, log_a, base_count, base_log):
-    """Log multinomial pool kernel at broadcastable arrays of served counts.
-
-    ``counts[t]`` holds the count of variable member t, ``log_a[t]`` its log
-    pool coefficient; members whose count is forced contribute
-    ``base_count`` and ``base_log`` as constants.
-    """
-    total = float(base_count)
-    k = base_log
-    for u, la in zip(counts, log_a):
-        total = total + u
-        k = k + u * la - gammaln(u + 1.0)
-    return k + gammaln(total + 1.0)
-
-
 def _pool_plan(active: tuple, A: np.ndarray):
     """Static contraction schedule for one active set.  Depends only on the
     zero pattern of the pool matrix, so one plan serves every queue vector
@@ -160,9 +145,7 @@ def _pool_plan(active: tuple, A: np.ndarray):
 
 def _kernel_grid(l, banded, contract, fresh, fixed, sizes, fixedq, A):
     """Pool l's kernel laid out on the grid of its transfer matrix, in
-    linear scale relative to its peak, and the peak's log.  The banded
-    axes are a read-only strided view of the kernel, so the grid costs no
-    more memory than the kernel itself.
+    linear scale relative to its peak, and the peak's log.
 
     ``sizes`` holds the extents of the banded, contract and fresh members,
     in that order; ``fixedq`` the counts of the fixed members.  Axes run
@@ -170,28 +153,41 @@ def _kernel_grid(l, banded, contract, fresh, fixed, sizes, fixedq, A):
     the table so far, then the new totals and the fresh counts.  The entry
     is the pool kernel at served counts v - r (zero where negative),
     extent - 1 - r and u: a contracted queue's running total r leaves the
-    rest of its packets to this pool."""
+    rest of its packets to this pool.
+
+    The log kernel is sum_t (u_t log A_lt - log u_t!) + log m! at pool
+    total m.  Every log-factorial is read from one vector
+    ``lf[n] = gammaln(n + 1)``, n up to the largest total, by indexing it
+    with the integer count grids.  gammaln runs at the same integer points
+    as it would on the grids themselves and the sums keep their order, so
+    the kernel has the same bits as that direct evaluation at a fraction
+    of its cost.  The banded axes are one read-only strided view of a
+    zero-padded copy, so the grid costs no more memory than that copy."""
     nb, nc = len(banded), len(contract)
-    base_log = sum(
-        q * math.log(A[l, j]) - float(gammaln(q + 1.0))
-        for j, q in zip(fixed, fixedq)
-    )
-    klog = _log_kernel(
-        np.ix_(*[np.arange(s) for s in sizes]),
-        [math.log(A[l, j]) for j in banded + contract + fresh],
-        sum(fixedq), base_log,
-    )
+    lf = gammaln(np.arange(sum(fixedq) + sum(sizes) - len(sizes) + 1) + 1.0)
+    klog = sum(q * math.log(A[l, j]) - float(lf[q]) for j, q in zip(fixed, fixedq))
+    total = sum(fixedq)
+    for u, j in zip(np.ix_(*[np.arange(s) for s in sizes]), banded + contract + fresh):
+        total = total + u
+        klog = klog + u * math.log(A[l, j]) - lf[u]
+    klog = klog + lf[total]
+    # each grid is freed as soon as it is read, which keeps the peak down
+    del total
     mk = float(np.max(klog))
     klin = np.exp(klog - mk)
+    del klog
     if nc:
         klin = np.flip(klin, axis=tuple(range(nb, nb + nc)))
     if nb:
-        # with extent - 1 zeros in front of each banded axis, the windows
-        # W[i, ..., w] = P[i + w] read served count w - r at i = extent - 1 - r
-        klin = np.pad(klin, [(s - 1, 0) for s in sizes[:nb]] + [(0, 0)] * (len(sizes) - nb))
-        win = sliding_window_view(klin, sizes[:nb], axis=tuple(range(nb)))
-        win = win[(slice(None, None, -1),) * nb]
-        klin = np.moveaxis(win, range(len(sizes), len(sizes) + nb), range(nb + nc, 2 * nb + nc))
+        # extent - 1 zeros in front of each banded axis; the view reads
+        # (r, v) at padded index extent - 1 - r + v, served count v - r
+        pad = np.zeros([2 * s - 1 for s in sizes[:nb]] + list(sizes[nb:]))
+        inner = pad[tuple(slice(s - 1, None) for s in sizes[:nb])]
+        inner[...] = klin
+        st = pad.strides
+        klin = as_strided(inner, sizes[:nb] + sizes[nb:nb + nc] + sizes[:nb] + sizes[nb + nc:],
+                          tuple(-x for x in st[:nb]) + st[nb:nb + nc] + st[:nb] + st[nb + nc:],
+                          writeable=False)
     return klin, mk
 
 

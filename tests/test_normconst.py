@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
@@ -376,6 +376,74 @@ def test_full_kernel_memo_is_counted(monkeypatch):
         _assert_cached_matches_cache_free(np.array(q), poly, cache)
     assert cache.memo_refused > 0
     assert all(len(m[3]) == 1 for m in cache.kernels.values())
+
+
+_ROLES = ("banded", "contract", "fresh", "fixed")
+
+
+@st.composite
+def _pool_splits(draw):
+    """One pool's members, each with a frontier role and a positive weight
+    (tilted passes scale weights far from 1), the extents of the banded,
+    contract and fresh members and the counts of the fixed ones."""
+    roles = draw(st.lists(st.sampled_from(_ROLES), min_size=1, max_size=5))
+    weight = st.one_of(st.floats(0.2, 1.5), st.floats(1e-6, 1e-2), st.floats(10.0, 1e4))
+    A = np.array([draw(st.lists(weight, min_size=len(roles), max_size=len(roles)))])
+    split = [0] + [tuple(j for j, r in enumerate(roles) if r == role) for role in _ROLES]
+    n_grid = len(roles) - len(split[4])
+    sizes = tuple(draw(st.lists(st.integers(1, 6), min_size=n_grid, max_size=n_grid)))
+    fixedq = tuple(draw(st.lists(st.integers(0, 8), min_size=len(split[4]),
+                                 max_size=len(split[4]))))
+    assume(math.prod(sizes[:len(split[1])]) <= 36)
+    return tuple(split), sizes, fixedq, A
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_pool_splits())
+def test_kernel_grid_matches_the_kernel_definition_bit_for_bit(case):
+    # the oracle evaluates gammaln on the whole np.ix_ grid of served counts
+    # and lays the window out cell by cell: zero where v - r < 0, contract
+    # axes reversed
+    split, sizes, fixedq, A = case
+    l, banded, contract, fresh, fixed = split
+    nb, nc = len(banded), len(contract)
+    la = [math.log(A[l, j]) for j in banded + contract + fresh]
+    klog = sum(q * math.log(A[l, j]) - float(gammaln(q + 1.0)) for j, q in zip(fixed, fixedq))
+    total = float(sum(fixedq))
+    for u, a in zip(np.ix_(*[np.arange(s) for s in sizes]), la):
+        total = total + u
+        klog = klog + u * a - gammaln(u + 1.0)
+    klog = klog + gammaln(total + 1.0)
+    mk = float(np.max(klog))
+    kernel = np.exp(klog - mk)
+    kernel = kernel[(slice(None),) * nb + (slice(None, None, -1),) * nc]
+    band = sizes[:nb]
+    want = np.zeros(band + sizes[nb:nb + nc] + band + sizes[nb + nc:])
+    for r in itertools.product(*map(range, band)):
+        for v in itertools.product(*map(range, band)):
+            if min((b - a for a, b in zip(r, v)), default=0) >= 0:
+                want[r + (slice(None),) * nc + v] = kernel[tuple(b - a for a, b in zip(r, v))]
+
+    got, got_mk = normconst._kernel_grid(*split, sizes, fixedq, A)
+    assert got_mk == mk
+    assert np.shape(got) == want.shape
+    assert np.array_equal(np.ascontiguousarray(got).ravel(), want.ravel())
+
+
+def test_banded_master_kernels_are_read_only():
+    # a banded master is one strided window over a padded kernel, each cell
+    # shared by a whole diagonal: a write through it would corrupt them all
+    poly = load_example("grid3x3").polytope
+    cache = NormConstCache(poly)
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        log_norm_const_neighbours(rng.integers(0, 5, size=9), poly, cache)
+    banded = [m[1] for (split, _), m in cache.kernels.items() if split[1]]
+    assert banded
+    for klin in banded:
+        assert not klin.flags.writeable
+        with pytest.raises(ValueError):
+            klin[(0,) * klin.ndim] = 1.0
 
 
 def _sf_grid_replication(seed, cache):

@@ -12,7 +12,10 @@ the two outputs:
 The package is imported from ``src/`` beside this directory.  BLAS is
 pinned to one thread and the CLI runs its replications in-process, since
 a thread count can move the last bits of a matrix product.  An output
-that raises is fingerprinted by its exception type and message.  A run
+that raises is fingerprinted by its exception type and message.  Dataclass
+fields declared ``compare=False`` are not outputs (``ScheduleDistribution``
+keeps its cumulative weights in one) and are left out, so a cache's
+representation does not move a digest.  A run
 takes about ten seconds on two cores.
 
 Covered: store-forward traces on every catalogue network (initial fill, a
@@ -78,7 +81,7 @@ def _feed(h, obj):
         h.update(obj)
     elif dataclasses.is_dataclass(obj):
         h.update(type(obj).__name__.encode())
-        _feed(h, {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)})
+        _feed(h, {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj) if f.compare})
     elif isinstance(obj, dict):
         h.update(b"{")
         for k in sorted(obj, key=repr):
