@@ -61,8 +61,6 @@ from .normconst import (
     log_norm_const_neighbours,
     norm_const,
     norm_const_bruteforce,
-    norm_const_bruteforce_table,
-    norm_const_table,
 )
 from .presets import (
     ExamplePreset,
@@ -146,8 +144,6 @@ __all__ = [
     "lyapunov_drift",
     "norm_const",
     "norm_const_bruteforce",
-    "norm_const_bruteforce_table",
-    "norm_const_table",
     "parse_config",
     "queues_share_pool",
     "random_balance_checks",

@@ -9,7 +9,7 @@ with Phi(0) = 1.  The main evaluator convolves pools sequentially, keeping
 only the 'frontier' queues that still appear in a later pool, and works on a
 max-scaled linear table so that queue vectors in the hundreds stay well
 conditioned.  Each pool is one matrix product of the table with the pool's
-transfer matrix.  The store-forward rates need Phi(Q - e_j) for every j as
+transfer matrix; a large vector picks the cheapest pool order.  The store-forward rates need Phi(Q - e_j) for every j as
 well; ``log_norm_const_neighbours`` gets them from the same single pass by
 carrying a leading variant axis, one variant per decremented queue, in the
 spirit of Buzen's convolution algorithm (Buzen 1973).
@@ -19,6 +19,7 @@ deliberately independent of the convolution code path.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -30,8 +31,6 @@ from .model import CapacityPolytope, CapExceededError, as_integers
 
 _NEG_INF = float("-inf")
 
-# caps guarding pathological inputs; generous for every shipped example
-_MAX_TABLE_CELLS = 50_000_000
 # cells of one pool step of the frontier pass: its transfer matrix, and its
 # table with every variant
 _MAX_STEP_CELLS = 8_000_000
@@ -52,9 +51,8 @@ class NormConstCache:
     It also keeps what the frontier passes reuse across queue vectors: one
     contraction plan per active set (``plans``) and one master transfer
     kernel per pool split and fixed counts (``kernels``), which every plan
-    slices.  Reusing
-    one cache across the states of a network therefore reuses its kernels
-    too.  Counters, deterministic for a given sequence of calls: frontier
+    slices.  Reusing one cache across the states of a network therefore
+    reuses its kernels too.  Counters, deterministic for a given sequence of calls: frontier
     passes run, master kernels built, and exact-size matrices left out of a
     full kernel memo."""
 
@@ -97,10 +95,11 @@ def _queue_vector(Q, n_queues: int) -> np.ndarray:
     return q
 
 
-def _pool_plan(active: tuple, A: np.ndarray):
-    """Static contraction schedule for one active set.  Depends only on the
-    zero pattern of the pool matrix, so one plan serves every queue vector
-    with the same support.
+def _pool_plan(active: tuple, A: np.ndarray, order):
+    """Static contraction schedule for one active set, taking the pools in
+    ``order`` (pools without an active member are skipped).  Depends only on
+    the zero pattern of the pool matrix, so one plan serves every queue
+    vector with the same support.
 
     Per pool, a step holds the split ``(l, banded, contract, fresh, fixed)``
     of its members by frontier role, the table permutation, the axes that
@@ -110,11 +109,11 @@ def _pool_plan(active: tuple, A: np.ndarray):
     reappear in a later pool; ``contract`` queues are on the frontier and
     end here; ``fresh`` queues start here and reappear later; ``fixed``
     queues belong to this pool only, so it serves all of their packets."""
-    last_pool = {j: int(np.flatnonzero(A[:, j] > 0)[-1]) for j in active}
+    last_pool = {j: l for l in order for j in active if A[l, j] > 0}
     steps = []
     axes: list[int] = []
     n_var = 1
-    for l in range(A.shape[0]):
+    for l in order:
         members = [j for j in active if A[l, j] > 0]
         if not members:
             continue
@@ -143,6 +142,113 @@ def _pool_plan(active: tuple, A: np.ndarray):
     return steps
 
 
+def _step_dims(plan, q: list, neighbours: bool):
+    """Each step's extents for queue vector ``q``, checked against the cap
+    before anything is built: None when a step's transfer matrix or its
+    table (every variant) would pass ``_MAX_STEP_CELLS``."""
+    extent = [v + 1 for v in q].__getitem__
+    dims = []
+    n_var = 1
+    for (_, banded, contract, fresh, fixed), _, pass_axes, axes, _ in plan:
+        p = math.prod(map(extent, pass_axes))
+        b = math.prod(map(extent, banded))
+        c = math.prod(map(extent, contract))
+        f = math.prod(map(extent, fresh))
+        if neighbours:
+            n_var += len(contract) + len(fixed)
+        if max(b * b * c * f, n_var * p * b * max(c, f)) > _MAX_STEP_CELLS:
+            return None
+        dims.append((p, b * c, tuple(map(extent, banded + contract + fresh)),
+                     tuple(map(q.__getitem__, fixed)), (-1, *map(extent, axes))))
+    return dims
+
+
+@functools.lru_cache(maxsize=64)
+def _order_search(pattern: bytes, L: int, n: int):
+    """The extent-free part of the order search for one pool pattern, the
+    L x n membership of the active queues in the pools that hold any.
+    Subsets of pools taken are numbered by size, then value; the steps into
+    the n_k subsets of size k form a k x n_k block, one row per rank of the
+    pool taken.  Per step: queue masks of the banded members, the kernel
+    grid (all members but the fixed), the table before and the new axes,
+    then the subset before and the pool; per subset its size and the
+    variant count of a neighbour pass."""
+    member = np.frombuffer(pattern, dtype=bool).reshape(L, n)
+    pm, qp = member @ (1 << np.arange(n)), member.T @ (1 << np.arange(L))
+    size = np.zeros(1 << L, dtype=np.intp)
+    for l in range(L):
+        size[1 << l: 2 << l] = size[: 1 << l] + 1
+    S = np.argsort(size, kind="stable")
+    where = np.argsort(S).astype(np.uint16)
+    cov, done, n_var = np.zeros((3, 1 << L), dtype=np.int64)
+    for l in range(L):
+        cov[S >> l & 1 == 1] |= pm[l]
+    for i in range(n):
+        ended = S & qp[i] == qp[i]
+        done |= ended.astype(np.int64) << i
+        n_var += ended
+    mask_type = np.uint16 if n <= 16 else np.intp
+    pm, cov, done = pm.astype(mask_type), cov.astype(mask_type), done.astype(mask_type)
+    front = cov & ~done
+    lo = np.searchsorted(size[S], np.arange(L + 2))
+    levels = []
+    for k in range(1, L + 1):
+        a, z = lo[k], lo[k + 1]
+        pool = np.nonzero(S[a:z, None] >> np.arange(L) & 1)[1].reshape(-1, k).T
+        src = where[S[a:z] ^ (1 << pool)]
+        mem = pm[pool]
+        masks = np.stack([mem & front[src] & ~done[a:z], mem & ~(done[a:z] & ~cov[src]),
+                          front[src], mem & front[a:z]])
+        levels.append((a, z, masks, src, pool.astype(np.uint8)))
+    shared = (size[S], (1 + n_var).astype(np.uint8))
+    for arr in shared + tuple(x for level in levels for x in level[2:]):
+        arr.setflags(write=False)  # every caller of the memo reads the same arrays
+    return (levels,) + shared
+
+
+def _cheapest_order(active: tuple, A: np.ndarray, q: list, neighbours: bool):
+    """The pool order of least modeled cost among those whose steps all fit
+    the cap, as pool indices; the listed order when it ties, when none fits,
+    or when the search's own arrays (a product table over queue masks and
+    eight numbers a step) would pass the cap.  A step costs its transfer
+    matrix's cells plus its product's multiply-adds, every variant row
+    counted.  An exact dynamic programme over the subsets of pools taken: a
+    step's sizes depend only on the subset before it and its pool, and each
+    is a product of extents over a queue mask.  A table after a step is the
+    table before the next, with no fewer variants: only the one is checked."""
+    member = A[:, active] > 0
+    pools = np.flatnonzero(member.any(axis=1)).tolist()
+    L = len(pools)
+    if (1 << len(active)) + (L << (L + 2)) > _MAX_STEP_CELLS:
+        return pools
+    levels, size, n_var = _order_search(member[pools].tobytes(), L, len(active))
+    tab = np.ones(1 << len(active))
+    for i, j in enumerate(active):
+        tab[1 << i: 2 << i] = tab[: 1 << i] * (q[j] + 1)
+    best = np.zeros(1 << L)
+    steps = []
+    for a, z, masks, src, _ in levels:
+        cells = np.take(tab, masks[0]) * np.take(tab, masks[1])
+        before = np.take(tab, masks[2]) * (n_var[a:z] if neighbours else 1)
+        cost = np.take(tab, masks[3]) * before + cells
+        cost[np.maximum(cells, before) > _MAX_STEP_CELLS] = np.inf
+        cost += np.take(best, src)
+        np.min(cost, axis=0, out=best[a:z])
+        if best[a:z].min() == np.inf:
+            return pools  # no order fits
+        steps.append(cost)
+    # back from the full set, taking among tied last steps the latest listed
+    # pool: this rebuilds the listed order whenever it is among the cheapest
+    order, d = [], len(best) - 1
+    while d:
+        a, _, _, src, pool = levels[size[d] - 1]
+        tied = steps[size[d] - 1][::-1, d - a]
+        r = len(tied) - 1 - int(np.argmin(tied))
+        order.append(pools[pool[r, d - a]])
+        d = int(src[r, d - a])
+    return order[::-1]
+
+
 def _kernel_grid(l, banded, contract, fresh, fixed, sizes, fixedq, A):
     """Pool l's kernel laid out on the grid of its transfer matrix, in
     linear scale relative to its peak, and the peak's log.
@@ -161,23 +267,29 @@ def _kernel_grid(l, banded, contract, fresh, fixed, sizes, fixedq, A):
     with the integer count grids.  gammaln runs at the same integer points
     as it would on the grids themselves and the sums keep their order, so
     the kernel has the same bits as that direct evaluation at a fraction
-    of its cost.  The banded axes are one read-only strided view of a
+    of its cost; the grid is accumulated in place, a contract axis built
+    backwards.  The banded axes are one read-only strided view of a
     zero-padded copy, so the grid costs no more memory than that copy."""
     nb, nc = len(banded), len(contract)
     lf = gammaln(np.arange(sum(fixedq) + sum(sizes) - len(sizes) + 1) + 1.0)
     klog = sum(q * math.log(A[l, j]) - float(lf[q]) for j, q in zip(fixed, fixedq))
     total = sum(fixedq)
-    for u, j in zip(np.ix_(*[np.arange(s) for s in sizes]), banded + contract + fresh):
+    if not sizes:
+        klog = klog + lf[total]
+        mk = float(klog)
+        return np.exp(klog - mk), mk
+    # the grid grows one axis at a time and is then updated in place; a
+    # contract axis runs backwards
+    counts = [np.arange(s)[::-1 if nb <= t < nb + nc else 1] for t, s in enumerate(sizes)]
+    for u, j in zip(np.ix_(*counts), banded + contract + fresh):
         total = total + u
-        klog = klog + u * math.log(A[l, j]) - lf[u]
-    klog = klog + lf[total]
-    # each grid is freed as soon as it is read, which keeps the peak down
+        klog = klog + u * math.log(A[l, j])
+        klog -= lf[u]
+    klog += lf[total]
     del total
     mk = float(np.max(klog))
-    klin = np.exp(klog - mk)
-    del klog
-    if nc:
-        klin = np.flip(klin, axis=tuple(range(nb, nb + nc)))
+    klog -= mk
+    klin = np.exp(klog, out=klog)
     if nb:
         # extent - 1 zeros in front of each banded axis; the view reads
         # (r, v) at padded index extent - 1 - r + v, served count v - r
@@ -262,33 +374,25 @@ def _frontier_pass(Q: np.ndarray, polytope: CapacityPolytope, cache: NormConstCa
         return 0.0, nbr
     plan = cache.plans.get(active) if cache is not None else None
     if plan is None:
-        plan = _pool_plan(active, A)
+        plan = _pool_plan(active, A, range(A.shape[0]))
         if cache is not None:
             cache.plans[active] = plan
-
-    # every step's extents, checked against the cap before anything is built
-    extent = [v + 1 for v in q].__getitem__
-    dims = []
-    n_var = 1
-    for (_, banded, contract, fresh, fixed), _, pass_axes, axes, _ in plan:
-        p = math.prod(map(extent, pass_axes))
-        b = math.prod(map(extent, banded))
-        c = math.prod(map(extent, contract))
-        f = math.prod(map(extent, fresh))
-        if neighbours:
-            n_var += len(contract) + len(fixed)
-        if max(b * b * c * f, n_var * p * b * max(c, f)) > _MAX_STEP_CELLS:
+    total = sum(q)
+    dims = _step_dims(plan, q, neighbours)
+    if dims is None or total > _TILT_THRESHOLD and total >= 1 << len(plan):
+        # past the cap, or tilted with no more pool subsets than packets
+        # (the search grows with one, the pass with the other): the
+        # cheapest order that fits, planned afresh like tilted kernels
+        plan = _pool_plan(active, A, _cheapest_order(active, A, q, neighbours))
+        dims = _step_dims(plan, q, neighbours)
+        if dims is None:
             raise CapExceededError(
-                "normalizing-constant table too large for this queue vector; "
-                "reduce the vector or reorder pools"
-            )
-        dims.append((p, b * c, tuple(map(extent, banded + contract + fresh)),
-                     tuple(map(q.__getitem__, fixed)), (-1, *map(extent, axes))))
+                "normalizing-constant table too large for this queue vector; reduce the vector")
     if cache is not None:
         cache.passes += 1
 
     log_z = None
-    if sum(q) > _TILT_THRESHOLD:
+    if total > _TILT_THRESHOLD:
         # A_lj -> A_lj z_j multiplies every term of Phi by prod_j z_j^Q_j,
         # corrected at the end; the fair rates maximize that product over
         # A z <= 1, which keeps the table well scaled for large vectors.  The
@@ -319,6 +423,7 @@ def _frontier_pass(Q: np.ndarray, polytope: CapacityPolytope, cache: NormConstCa
             table = grown
             order += split[2]
         flat = table.reshape(-1, rows)
+        del table  # a transposed table was copied into flat
         out = flat @ M
         if neighbours and split[4]:
             extra = [out]
@@ -332,7 +437,7 @@ def _frontier_pass(Q: np.ndarray, polytope: CapacityPolytope, cache: NormConstCa
         offset += mk
         m = float(out.max())
         if m > 1e100 or 0.0 < m < 1e-100:
-            out = out / m
+            out /= m
             offset += math.log(m)
         table = out.reshape(shape)
 
@@ -395,42 +500,6 @@ def norm_const(Q, polytope: CapacityPolytope, cache: NormConstCache | None = Non
     return float(np.exp(log_norm_const(Q, polytope, cache)))
 
 
-def norm_const_table(polytope: CapacityPolytope, shape) -> np.ndarray:
-    """Phi over an entire box of queue vectors by Buzen's convolution
-    recursion (Buzen 1973).
-
-    Pool l's generating function is 1 / (1 - sum_j A_lj x_j), so with G_0
-    the unit table at Q = 0 and G_l the product over the first l pools,
-    G_l(Q) = G_{l-1}(Q) + sum_j A_lj G_l(Q - e_j).  Each pool fills its
-    table one level of sum_{j in pool} Q_j at a time.  ``shape[j]`` is the
-    number of values (Q_j from 0 to shape[j]-1).  Linear scale, intended
-    for small verification boxes.
-    """
-    A = polytope.matrix
-    J = A.shape[1]
-    shape = tuple(as_integers(shape, "table shape").tolist())
-    if len(shape) != J:
-        raise ValueError("shape must give one extent per queue")
-    size = int(np.prod(shape, dtype=np.int64))
-    if size > _MAX_TABLE_CELLS:
-        raise CapExceededError("verification box too large")
-    index = [g.ravel() for g in np.indices(shape)]
-    stride = [int(np.prod(shape[j + 1:], dtype=np.int64)) for j in range(J)]
-    table = np.zeros(size)
-    table[0] = 1.0
-    for l in range(A.shape[0]):
-        members = [j for j in range(J) if A[l, j] > 0 and shape[j] > 1]
-        if not members:
-            continue
-        level = sum(index[j] for j in members)
-        for k in range(1, int(level.max()) + 1):
-            cells = np.flatnonzero(level == k)
-            for j in members:
-                c = cells[index[j][cells] > 0]
-                table[c] += A[l, j] * table[c - stride[j]]
-    return table.reshape(shape)
-
-
 # -------------------- independent brute force --------------------
 
 
@@ -483,45 +552,3 @@ def norm_const_bruteforce(Q, polytope: CapacityPolytope, total_cap: int = 24) ->
                 term *= A[l, j] ** cnt
         total += term
     return total
-
-
-def norm_const_bruteforce_table(polytope: CapacityPolytope, total_cap: int) -> np.ndarray:
-    """Brute-force Phi for every Q with sum(Q) <= total_cap, vectorized.
-
-    Same direct enumeration of pool occupancies as ``norm_const_bruteforce``
-    (every admissible m is generated and its weight accumulated at its
-    aggregate Q); batching over all Q at once just avoids Python loops.
-    Entries with sum(Q) > total_cap are not populated.
-    """
-    A = polytope.matrix
-    L, J = A.shape
-    slots = [(l, j) for l in range(L) for j in range(J) if A[l, j] > 0]
-    if (total_cap + 1) ** J > _MAX_TABLE_CELLS:
-        raise CapExceededError("brute-force table too large")
-    # enumerate all occupancy vectors over the slots with total <= cap
-    rows = np.zeros((1, 0), dtype=np.int64)
-    sums = np.zeros(1, dtype=np.int64)
-    for _ in slots:
-        counts = total_cap - sums + 1
-        offsets = np.repeat(np.cumsum(counts) - counts, counts)
-        col = np.arange(counts.sum(), dtype=np.int64) - offsets
-        rows = np.repeat(rows, counts, axis=0)
-        rows = np.concatenate([rows, col[:, None]], axis=1)
-        sums = np.repeat(sums, counts) + col
-    logw = np.zeros(len(rows))
-    for t, (l, j) in enumerate(slots):
-        c = rows[:, t].astype(float)
-        logw += c * math.log(A[l, j]) - gammaln(c + 1.0)
-    for l in range(L):
-        cols = [t for t, (pl, _) in enumerate(slots) if pl == l]
-        if cols:
-            m_l = rows[:, cols].sum(axis=1).astype(float)
-            logw += gammaln(m_l + 1.0)
-    w = np.exp(logw)
-    qmat = np.zeros((len(rows), J), dtype=np.int64)
-    for t, (_, j) in enumerate(slots):
-        qmat[:, j] += rows[:, t]
-    shape = (total_cap + 1,) * J
-    flat = np.ravel_multi_index([qmat[:, j] for j in range(J)], shape)
-    table = np.bincount(flat, weights=w, minlength=int(np.prod(shape))).reshape(shape)
-    return table

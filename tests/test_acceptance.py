@@ -23,12 +23,7 @@ from switchnet.analysis import (
 )
 from switchnet.metrics import SimConfig
 from switchnet.model import CapacityPolytope, NetworkSpec, Route, compute_loads
-from switchnet.normconst import (
-    NormConstCache,
-    log_norm_const,
-    norm_const_bruteforce_table,
-    norm_const_table,
-)
+from switchnet.normconst import NormConstCache, log_norm_const
 from switchnet.presets import list_examples, load_example, scaled_rates
 from switchnet.propfair import sf_pf_gap
 from switchnet.sim import (
@@ -41,6 +36,8 @@ from switchnet.storeforward import (
     expected_queue_lengths,
     stationary_normalizer,
 )
+
+from oracles import norm_const_bruteforce_table, norm_const_table
 
 
 def _report(num, name, ok, detail):

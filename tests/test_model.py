@@ -29,11 +29,13 @@ from switchnet.model import (
     enumerate_schedules,
     is_perfect,
 )
-from switchnet.normconst import log_norm_const_neighbours, norm_const_table
+from switchnet.normconst import log_norm_const_neighbours
 from switchnet.presets import load_example
 from switchnet.propfair import sf_pf_gap
 from switchnet.sim import simulate_backpressure, simulate_prop_sched, simulate_store_forward
 from switchnet.storeforward import StationarySampler, expected_route_delay, log_stationary_weight
+
+from oracles import norm_const_table
 
 
 def test_route_validation():

@@ -19,13 +19,12 @@ from switchnet.normconst import (
     log_norm_const_neighbours,
     norm_const,
     norm_const_bruteforce,
-    norm_const_bruteforce_table,
-    norm_const_table,
 )
 from switchnet.presets import load_example, scaled_rates
 from switchnet.sim import simulate_store_forward
 from switchnet.storeforward import StationarySampler, store_forward_rates
 
+from oracles import norm_const_bruteforce_table, norm_const_table
 from strategies import frontier_polytopes, polytopes
 
 
@@ -209,14 +208,29 @@ def test_rates_single_pool_members_match_bruteforce():
         _check_rate_properties(q, poly, sigma)
 
 
+def _lifted_vector(data, J):
+    # one queue above the tilt threshold and the rest at most 12
+    q = np.array(data.draw(st.lists(st.integers(0, 12), min_size=J, max_size=J)))
+    q[data.draw(st.integers(0, J - 1))] = data.draw(
+        st.integers(_TILT_THRESHOLD + 1, _TILT_THRESHOLD + 40))
+    return q
+
+
+def _or_cap(fn, *args):
+    """fn(*args), or None where no pool order fits the cap."""
+    try:
+        return fn(*args)
+    except CapExceededError:
+        return None
+
+
 @settings(max_examples=60, deadline=None)
 @given(poly=polytopes(), data=st.data())
 def test_rates_above_tilt_threshold_match_separate_passes(poly, data):
-    J = poly.n_queues
-    q = np.array(data.draw(st.lists(st.integers(0, 3), min_size=J, max_size=J)))
-    q[data.draw(st.integers(0, J - 1))] = data.draw(
-        st.integers(_TILT_THRESHOLD + 1, _TILT_THRESHOLD + 40))
-    sigma = store_forward_rates(q, poly)
+    q = _lifted_vector(data, poly.n_queues)
+    sigma = _or_cap(store_forward_rates, q, poly)
+    # a vector that no pool order fits has no rates (about 1 draw in 100)
+    assume(sigma is not None)
     base = log_norm_const(q, poly)
     for j in np.flatnonzero(q):
         down = q.copy()
@@ -240,25 +254,26 @@ def test_tilted_pass_matches_untilted_box(poly, data):
 
 
 def _draw_queue_vector(data, J):
-    # up to 12 per queue, or one queue above the tilt threshold and the rest at
-    # most 3, as in the tilt tests above (larger ones reach the pass's cell cap)
-    lifted = data.draw(st.booleans())
-    q = np.array(data.draw(st.lists(st.integers(0, 3 if lifted else 12), min_size=J, max_size=J)))
-    if lifted:
-        q[data.draw(st.integers(0, J - 1))] = data.draw(
-            st.integers(_TILT_THRESHOLD + 1, _TILT_THRESHOLD + 40))
-    return q
+    # up to 12 per queue, or one queue above the tilt threshold as well
+    if data.draw(st.booleans()):
+        return _lifted_vector(data, J)
+    return np.array(data.draw(st.lists(st.integers(0, 12), min_size=J, max_size=J)))
 
 
 @settings(max_examples=100, deadline=None)
 @given(poly=polytopes(), data=st.data())
 def test_phi_invariant_under_pool_relabeling(poly, data):
-    # the frontier plan follows the pool order, so permuted pools take a
-    # different contraction schedule to the same value
+    # below the threshold the frontier plan follows the pool order, so
+    # permuted pools take a different contraction schedule to the same value;
+    # a vector that no order fits is refused in every order
     q = _draw_queue_vector(data, poly.n_queues)
     perm = data.draw(st.permutations(range(poly.n_pools)))
     moved = CapacityPolytope(poly.matrix[list(perm)])
-    assert log_norm_const(q, moved) == pytest.approx(log_norm_const(q, poly), rel=1e-12)
+    want = _or_cap(log_norm_const, q, poly)
+    got = _or_cap(log_norm_const, q, moved)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
@@ -269,10 +284,104 @@ def test_phi_moves_with_permuted_queues(poly, data):
     q = _draw_queue_vector(data, poly.n_queues)
     perm = list(data.draw(st.permutations(range(poly.n_queues))))
     moved = CapacityPolytope(poly.matrix[:, perm])
-    base, nbr = log_norm_const_neighbours(q, poly)
-    moved_base, moved_nbr = log_norm_const_neighbours(q[perm], moved)
-    assert moved_base == pytest.approx(base, rel=1e-12)
-    np.testing.assert_allclose(moved_nbr, nbr[perm], rtol=1e-12)
+    want = _or_cap(log_norm_const_neighbours, q, poly)
+    got = _or_cap(log_norm_const_neighbours, q[perm], moved)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got[0] == pytest.approx(want[0], rel=1e-12)
+        np.testing.assert_allclose(got[1], want[1][perm], rtol=1e-12)
+
+
+# -------------------- the pool order of large vectors --------------------
+
+# listed in 4 of its 6 row orders, this matrix once passed the cap at (125, 1, 3, 3)
+_ORDER_REPRO = np.array([[1, 0, 1, 1], [1, 1, 1, 1], [1, 1, 1, 0.5]])
+
+
+def test_every_row_order_answers_the_repro():
+    q = np.array([125, 1, 3, 3])
+    poly = CapacityPolytope(_ORDER_REPRO)
+    base, sigma = log_norm_const(q, poly), store_forward_rates(q, poly)
+    for perm in itertools.permutations(range(3)):
+        moved = CapacityPolytope(_ORDER_REPRO[list(perm)])
+        assert log_norm_const(q, moved) == pytest.approx(base, rel=1e-12)
+        np.testing.assert_allclose(store_forward_rates(q, moved), sigma, rtol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly=polytopes(), data=st.data())
+def test_row_order_decides_neither_the_cap_nor_the_value(poly, data):
+    # above the threshold a vector raises in no row order or in every one
+    q = _lifted_vector(data, poly.n_queues)
+    runs = [(_or_cap(log_norm_const, q, moved), _or_cap(store_forward_rates, q, moved))
+            for moved in (CapacityPolytope(poly.matrix[list(p)])
+                          for p in itertools.permutations(range(poly.n_pools)))]
+    for phi, sigma in runs[1:]:
+        assert (phi is None, sigma is None) == (runs[0][0] is None, runs[0][1] is None)
+        if phi is not None:
+            assert phi == pytest.approx(runs[0][0], rel=1e-11)
+        if sigma is not None:
+            np.testing.assert_allclose(sigma, runs[0][1], rtol=1e-11)
+
+
+def _modeled_cost(plan, q, neighbours):
+    # transfer-matrix cells plus multiply-adds over every variant row, or
+    # None past the step cap: an oracle for the order search's cost model
+    ext = lambda js: math.prod(q[j] + 1 for j in js)  # noqa: E731
+    cost, n_var = 0, 1
+    for (_, banded, contract, fresh, fixed), _, pass_axes, _, _ in plan:
+        n_var += (len(contract) + len(fixed)) * neighbours
+        p, b, c, f = ext(pass_axes), ext(banded), ext(contract), ext(fresh)
+        if max(b * b * c * f, n_var * p * b * max(c, f)) > _MAX_STEP_CELLS:
+            return None
+        cost += b * b * c * f * (1 + n_var * p)
+    return cost
+
+
+@st.composite
+def _pool_patterns(draw):
+    """Up to five pools on up to five queues, every queue in a pool, with
+    extents up to 40: orders few enough to try them all."""
+    J, L = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    A = np.array(draw(st.lists(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=J, max_size=J),
+                               min_size=L, max_size=L)))
+    assume(np.all(A.sum(axis=0) > 0))
+    q = draw(st.lists(st.integers(0, 40), min_size=J, max_size=J))
+    assume(any(q))
+    return A, q
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_pool_patterns(), neighbours=st.booleans())
+def test_order_search_finds_the_cheapest_order_that_fits(case, neighbours):
+    # every pool order tried against the search; a tie keeps the listed order
+    A, q = case
+    active = tuple(j for j, v in enumerate(q) if v > 0)
+    listed = [l for l in range(len(A)) if A[l, list(active)].any()]
+    costs = {o: _modeled_cost(normconst._pool_plan(active, A, o), q, neighbours)
+             for o in itertools.permutations(listed)}
+    order = normconst._cheapest_order(active, A, q, neighbours)
+    fitting = [c for c in costs.values() if c is not None]
+    if not fitting:
+        assert order == listed
+        return
+    assert costs[tuple(order)] == min(fitting)
+    if costs[tuple(listed)] == min(fitting):
+        assert order == listed
+
+
+def test_passes_that_fit_below_the_threshold_keep_the_listed_order(monkeypatch):
+    # the memoized listed plan serves them: no search, the same bits as before
+    def no_search(*args):
+        raise AssertionError("searched a pass that fits below the threshold")
+
+    monkeypatch.setattr(normconst, "_cheapest_order", no_search)
+    for name in ("k22", "cycle4", "tri-grid", "grid3x3"):
+        poly = load_example(name).polytope
+        cache = NormConstCache(poly)
+        for q in np.random.default_rng(18).integers(0, 13, size=(20, poly.n_queues)):
+            log_norm_const_neighbours(q, poly, cache)
+            log_norm_const(q + 1, poly)
 
 
 def test_neighbours_fill_the_cache():
@@ -310,14 +419,15 @@ def test_frontier_pass_cap_on_transfer_matrix():
 
 
 def test_frontier_pass_cap_on_variant_table():
-    # five queues fixed in pool 1 and two contracted in pool 2 give eight
-    # variants of a 1101^2-cell table: only the neighbour pass is too large
+    # whichever of pools 0 and 2 comes second contracts queues 0 and 1, so
+    # in every pool order at least three variants share that step's
+    # 1701^2-cell table: only the neighbour pass is too large
     A = np.zeros((3, 7))
     A[0, :2] = 1.0
     A[1, 2:] = 1.0
     A[2, :2] = (0.5, 1.0)
     poly = CapacityPolytope(A)
-    q = np.array([1100, 1100, 1, 1, 1, 1, 1])
+    q = np.array([1700, 1700, 1, 1, 1, 1, 1])
     assert np.isfinite(log_norm_const(q, poly))
     _raises_before_allocating(store_forward_rates, q, poly)
 

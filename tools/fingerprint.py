@@ -25,7 +25,9 @@ longer than one collector chunk on ``k22`` and on ``merge``'s three routes
 over an interference graph, where one queue carries several routes; 200
 exact stationary states per network; fair solves and their lotteries on
 fixed states, plus weighted random polytopes; tilted and untilted log Phi
-with neighbours; the mean delay of each route's visit-count vector and of
+with neighbours, the ``k22`` scaling sweep at c = 8 to 512, and a pool
+matrix in each of its six row orders at a vector where the listed order
+passes the step cap; the mean delay of each route's visit-count vector and of
 one multi-visit vector per network; and ``metrics.csv`` and
 ``summary.json`` of every CLI kind.
 """
@@ -36,6 +38,7 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import os
 import sys
@@ -189,6 +192,20 @@ def _stationary(out, examples):
         out[f"phi/{ex.name}"] = _digest(phi)
 
 
+def _pool_orders(out):
+    k22 = load_example("k22").polytope
+    for c in (8, 32, 128, 256, 512):
+        q = np.array([1, 2, 2, 1]) * c
+        out[f"order/k22/{c}"] = _digest(
+            lambda: (log_norm_const(q, k22), log_norm_const_neighbours(q, k22)))
+    # once refused by the cap in 4 of the 6 orders
+    A = np.array([[1, 0, 1, 1], [1, 1, 1, 1], [1, 1, 1, 0.5]])
+    for perm in itertools.permutations(range(3)):
+        poly = CapacityPolytope(A[list(perm)])
+        out["order/rows-{}{}{}".format(*perm)] = _digest(
+            lambda: log_norm_const_neighbours([125, 1, 3, 3], poly))
+
+
 def _weighted(out):
     rng = np.random.default_rng(2024)
     for i in range(RANDOM_POLYTOPES):
@@ -270,6 +287,7 @@ def main():
     _traces(out, examples)
     _long_slotted(out)
     _stationary(out, examples)
+    _pool_orders(out)
     _weighted(out)
     _delays(out, examples)
     _cli(out, examples)
