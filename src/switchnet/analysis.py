@@ -366,7 +366,8 @@ def log_norm_const_scaling(
     if any(c <= 0 for c in scales):
         raise ValueError("scales must be positive")
     if np.any(q > 0):
-        target = -require_converged(solve_prop_fair(q, polytope, tol=1e-10), q).objective
+        # 0.0 - x, not -x: an exact objective of 0.0 gives target 0.0, not -0.0
+        target = 0.0 - require_converged(solve_prop_fair(q, polytope, tol=1e-10), q).objective
     else:
         target = 0.0
     vals = np.array(

@@ -313,6 +313,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
             raise ConfigError("sim.engine", f"{engine} needs enumerable schedules: {exc}") from None
         if horizon != int(horizon):
             raise ConfigError("sim.horizon", f"{engine} counts whole slots, got {horizon}")
+        try:
+            run.slot_window()
+        except ValueError as exc:
+            raise ConfigError("sim.checkpoints", str(exc)) from None
         if engine == "prop-sched" and graph is not None:
             try:
                 perfect = is_perfect(graph)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import as_indices, as_pairs
+from .model import as_indices, as_integers, as_pairs
 
 JOINT_CAP = 50
 
@@ -50,6 +50,17 @@ class SimConfig:
             raise ValueError("checkpoint count must be nonnegative")
         pairs = as_pairs(self.pairs, "pairs")
         object.__setattr__(self, "pairs", tuple(map(tuple, pairs.tolist())))
+
+    def slot_window(self) -> tuple[int, int]:
+        """A slotted run's horizon and warm-up, both in whole slots.
+        ValueError when the horizon is fractional, or when more checkpoints
+        are asked for than there are post-warmup slots to snapshot."""
+        horizon = as_integers(self.horizon, "slot horizon").item()
+        warm = int(self.warmup_fraction * horizon)
+        if self.checkpoints > horizon - warm:
+            raise ValueError(f"{self.checkpoints} checkpoints asked of a run with "
+                             f"{horizon - warm} post-warmup slots")
+        return horizon, warm
 
 
 def batch_se(batch_means) -> float:

@@ -162,8 +162,12 @@ def solve_prop_fair(
     objective.  The problem is normalized to sum(q) = 1 and solved by a
     primal-dual interior-point method; an active-set Newton polish on the
     prices then makes degenerate optima (a pool with zero price and zero
-    slack) exact.  ``converged`` reports whether the KKT residual is at
-    most ``tol``.
+    slack) exact.  When every occupied queue lies in exactly one pool that
+    holds occupied queues, the problem splits by pool and the interior
+    point is skipped: each pool's price is its share of the backlog,
+    p_l = sum_{j in l} q_j, and the rates are the store-forward rates
+    Q_j / (A_lj N_l).  The polish and the residual run either way.
+    ``converged`` reports whether the KKT residual is at most ``tol``.
     """
     q_raw = as_finite(Q, "queue vector")
     if q_raw.shape != (polytope.n_queues,):
@@ -183,7 +187,12 @@ def solve_prop_fair(
     A = A_act[rows]
     n_pools = len(rows)
 
-    p, iters = _interior_point(q, A)
+    member = A > 0
+    if (member.sum(axis=0) == 1).all():
+        # disjoint pools: the exact prices are the pools' backlogs
+        p, iters = member @ q, 0
+    else:
+        p, iters = _interior_point(q, A)
     res, c, slack = _price_residual(p, A, q)
 
     # ---- active-set Newton polish ----

@@ -24,6 +24,8 @@ _BLOCK = 1 << 16
 # draws converted to Python floats at a time; the collector flushes its log
 # once per chunk
 _CHUNK = 1 << 12
+# slots whose arrivals a policy that takes no draws of its own draws at once
+_SLOT_BLOCK = 1 << 12
 
 
 def _initial_state(spec: NetworkSpec, initial, rng):
@@ -314,20 +316,40 @@ def simulate_store_forward(
     return col.finalize("store-forward", admitted, departed, sum(Q), transient, checkpoints)
 
 
-def _slotted_run(spec, cfg, serve_fn, kind, initial, transient):
+def _slot_arrivals(rng, rates, bernoulli, horizon, block):
+    """Each slot's arrival counts per route, as a list of ints.
+
+    With ``block`` None each slot draws when the loop reaches it: one
+    scalar Poisson draw per route, the sampler and stream of
+    ``rng.poisson(rates)``, or one ``rng.random(R)``.  Otherwise the counts
+    of up to ``block`` slots are drawn at once, ``rng.poisson(rates,
+    size=(n, R))`` or ``rng.random((n, R)) < rates``, which fill their rows
+    slot by slot from the same stream.  Only a policy that takes no draws
+    of its own between slots may read them a block at a time."""
+    R = len(rates)
+    if block is None:
+        rates = rates.tolist()
+        for _ in range(horizon):
+            yield ([int(u < a) for u, a in zip(rng.random(R).tolist(), rates)] if bernoulli
+                   else [rng.poisson(a) for a in rates])
+        return
+    for lo in range(0, horizon, block):
+        size = (min(block, horizon - lo), R)
+        counts = (rng.random(size) < rates).astype(np.int64) if bernoulli else rng.poisson(rates, size)
+        yield from counts.tolist()
+
+
+def _slotted_run(spec, cfg, serve_fn, kind, initial, transient, block):
     """Common slot loop: arrivals, policy-specific service, collection.
 
     serve_fn(rng, Q, X, fifo) takes the packets it serves off the queue
     FIFOs of (route, arrival slot) and returns a list of
     (queue, route, arrival slots) actions it took; X holds per-queue lists
-    of route counts.  One scalar Poisson draw per route is the sampler and
-    stream of ``rng.poisson(rates)``.
+    of route counts.  ``block`` is None when serve_fn draws from ``rng``,
+    else the number of slots whose arrivals are drawn at once (see
+    ``_slot_arrivals``).
     """
-    R = spec.n_routes
-    rates = spec.rates().tolist()
-    bernoulli = cfg.slot_arrivals == "bernoulli"
-    horizon = as_integers(cfg.horizon, "slot horizon").item()
-    warm_slots = int(cfg.warmup_fraction * horizon)
+    horizon, warm_slots = cfg.slot_window()
     col = _Collector(spec, cfg, float(horizon), float(warm_slots))
     log_b, log_seg, log_id = col.log_b.append, col.log_seg.append, col.log_id.append
     logged, index, comp = col.log_seg, col.index, col.comp
@@ -342,10 +364,9 @@ def _slotted_run(spec, cfg, serve_fn, kind, initial, transient):
     X = X.tolist()
     cp_slots = {int(v) for v in np.linspace(warm_slots, horizon - 1, cfg.checkpoints)}
     checkpoints = []
+    arrivals = _slot_arrivals(rng, spec.rates(), cfg.slot_arrivals == "bernoulli", horizon, block)
 
-    for slot in range(horizon):
-        counts = ([int(u < a) for u, a in zip(rng.random(R).tolist(), rates)] if bernoulli
-                  else [rng.poisson(a) for a in rates])
+    for slot, counts in enumerate(arrivals):
         for r, c in enumerate(counts):
             if c:
                 j = first[r]
@@ -431,7 +452,8 @@ def simulate_prop_sched(
                 actions.append((j, r, by_route[r]))
         return actions
 
-    return _slotted_run(spec, cfg, serve, "prop-sched", initial, transient)
+    # the lottery draws from the arrivals' stream between slots
+    return _slotted_run(spec, cfg, serve, "prop-sched", initial, transient, None)
 
 
 def simulate_backpressure(
@@ -451,6 +473,7 @@ def simulate_backpressure(
     """
     S = _schedule_array(spec, schedules)
     S = S[np.lexsort(S.T[::-1])]
+    rows = S.tolist()
     # per queue, its (route, next queue) pairs by route id; -1 past the last hop
     hops = [[(r, k) for r, k in enumerate(row) if k != -2] for row in spec.next_hop[:-1].tolist()]
     if polytope is None and isinstance(spec.capacity, np.ndarray):
@@ -474,7 +497,7 @@ def simulate_backpressure(
         if not any(w):
             return []
         actions = []
-        for j, s_j in enumerate(S[np.argmax(S @ w)].tolist()):
+        for j, s_j in enumerate(rows[(S @ w).argmax()]):
             if s_j <= 0 or w[j] <= 0:
                 continue
             r = heaviest[j]
@@ -490,4 +513,5 @@ def simulate_backpressure(
             actions.append((j, r, got))
         return actions
 
-    return _slotted_run(spec, cfg, serve, "backpressure", initial, transient)
+    # the schedule takes no draws, so arrivals come a block of slots at a time
+    return _slotted_run(spec, cfg, serve, "backpressure", initial, transient, _SLOT_BLOCK)

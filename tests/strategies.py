@@ -5,6 +5,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from switchnet.config import ENGINES
+from switchnet.metrics import SimConfig
 from switchnet.model import CapacityPolytope, InterferenceGraph, cliques_to_polytope, is_perfect
 
 
@@ -52,8 +53,13 @@ def config_overrides(draw):
     }
     keys = draw(st.sets(st.sampled_from(sorted(values)), max_size=len(values)))
     out = {k: draw(values[k]) for k in sorted(keys)}
-    if "sim.horizon" in out and out.get("sim.engine", "store-forward") != "store-forward":
-        out["sim.horizon"] = draw(st.integers(1, 10**6))  # a slotted engine counts whole slots
+    if out.get("sim.engine", "store-forward") != "store-forward" and (
+            "sim.horizon" in out or "sim.checkpoints" in out):
+        # a slotted engine counts whole slots, and takes at most one
+        # checkpoint per post-warmup slot
+        out["sim.horizon"] = horizon = draw(st.integers(1, 10**6))
+        warm = int(out.get("sim.warmup_fraction", SimConfig.warmup_fraction) * horizon)
+        assume(out.get("sim.checkpoints", 0) <= horizon - warm)
     return out
 
 

@@ -149,6 +149,21 @@ def test_ldp_bundle(tmp_path):
     assert gaps[0] > gaps[-1]
 
 
+def test_ldp_target_has_no_signed_zero(tmp_path):
+    # tandem4's pools are disjoint, so Q = (1, 2, 3, 1) gets rates of exactly
+    # 1 and a fair objective of exactly 0.0; the target is its negation and
+    # must print as 0.0, never -0.0
+    cfg = _write(tmp_path, {"network": "tandem4",
+                            "ldp": {"queue_vector": [1, 2, 3, 1], "scales": [1, 2, 4, 34]}})
+    out = tmp_path / "ldp"
+    assert main(["ldp", "--config", cfg, "--out", str(out)]) == 0
+    header, *rows = (out / "metrics.csv").read_text().splitlines()
+    assert header == "scale,scaled_log_weight_sum,target,gap"
+    assert [row.split(",")[2] for row in rows] == ["0.0"] * 4
+    target = json.loads((out / "summary.json").read_text())["summary"]["target"]
+    assert target == 0.0 and math.copysign(1.0, target) == 1.0
+
+
 def test_balance_bundle(tmp_path):
     cfg = _write(
         tmp_path,
@@ -213,6 +228,18 @@ def test_main_exit_codes(tmp_path, capsys):
                      name=f"bad-{key}.json")
         assert main(["simulate", "--config", bad]) == 2
         assert "error: sim: " in capsys.readouterr().err
+
+    # a slotted run snapshots at most one checkpoint per post-warmup slot;
+    # the event simulator's checkpoints are times, not slots
+    many = {"network": "one-edge", "sim": {"horizon": 20, "checkpoints": 50}}
+    for engine in ("prop-sched", "backpressure"):
+        bad = _write(tmp_path, {**many, "sim": {**many["sim"], "engine": engine}},
+                     name=f"checkpoints-{engine}.json")
+        assert main(["simulate", "--config", bad]) == 2
+        assert ("error: sim.checkpoints: 50 checkpoints asked of a run with 16 post-warmup "
+                "slots") in capsys.readouterr().err
+    assert main(["simulate", "--config", _write(tmp_path, many, name="checkpoints-sf.json")]) == 0
+    capsys.readouterr()
 
     # a JSON true is not an integer, wherever the config asks for one
     inline = {"queues": 1, "routes": [{"path": [0], "rate": 0.5}], "capacity": {"matrix": [[1.0]]}}

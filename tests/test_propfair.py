@@ -172,6 +172,55 @@ def test_solver_hard_cases(name, q, expected):
     np.testing.assert_allclose(dist.mean, sol.rates, rtol=0, atol=1e-9)
 
 
+@st.composite
+def disjoint_pools(draw):
+    """A pool matrix whose pools share no queue, weights in [0.2, 3], every
+    pool used, and a queue vector with zeros in it."""
+    J = draw(st.integers(1, 5))
+    L = draw(st.integers(1, J))
+    pool_of = draw(st.permutations(list(range(L)) + draw(
+        st.lists(st.integers(0, L - 1), min_size=J - L, max_size=J - L))))
+    A = np.zeros((L, J))
+    A[pool_of, np.arange(J)] = draw(st.lists(st.floats(0.2, 3.0), min_size=J, max_size=J))
+    q = np.array(draw(st.lists(st.one_of(st.just(0), st.integers(1, 12)), min_size=J, max_size=J)))
+    assume(q.any())
+    return CapacityPolytope(A), q
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=disjoint_pools())
+def test_fair_rates_are_the_store_forward_rates_on_disjoint_pools(case):
+    # Phi factorizes over disjoint pools, and the fair rates are its
+    # store-forward rates Q_j / (A_lj N_l) at every scale; the solve takes
+    # them in closed form, with no interior point
+    poly, q = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(propfair, "_interior_point", None)
+        sol = solve_prop_fair(q, poly)
+    assert sol.converged and sol.kkt_residual <= 1e-14
+    np.testing.assert_allclose(sol.rates, store_forward_rates(q, poly), rtol=0, atol=1e-13)
+    # the last scale takes the total past the tilt threshold (120).  The
+    # pass carries log Phi, whose rounding moves the store-forward rates by
+    # up to about 2e-15 of the largest rate per packet (1e-12 at 180 packets
+    # of weight 0.2), so the gap is held to 1e-14 per packet
+    scales = np.array([1, 3, 121 // int(q.sum()) + 1])
+    gaps = sf_pf_gap(q, poly, scales)
+    assert np.all(gaps <= 1e-14 * scales * q.sum() * sol.rates.max())
+
+
+def test_shared_queues_still_run_the_interior_point(monkeypatch):
+    # every k22 queue lies in two pools, so no k22 state splits by pool
+    calls = []
+    inner = propfair._interior_point
+    monkeypatch.setattr(propfair, "_interior_point", lambda q, A: calls.append(q) or inner(q, A))
+    poly = load_example("k22").polytope
+    for q in ([1, 2, 2, 1], [3, 0, 0, 1]):
+        _check_solution(np.array(q), poly, solve_prop_fair(q, poly))
+    assert len(calls) == 2
+    solve_prop_fair([1, 0, 2], CapacityPolytope(np.array([[1.0, 0, 0], [0, 2.0, 0.5]])))
+    assert len(calls) == 2
+
+
 def test_solver_queue_alone_in_its_pool():
     # queue 0 is served by pool 0 alone, at rate 1 / A_00 at the optimum; a
     # Newton step on Q_j / s_j = (A^T p)_j rather than its bilinear form

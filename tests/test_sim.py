@@ -480,3 +480,45 @@ def test_slotted_chunk_boundaries_leave_a_run_unchanged(simulate, monkeypatch):
         runs.append(simulate(ex.spec, ex.schedules(), cfg, initial=(3, 0, 2, 1)))
     for other in runs[1:]:
         _assert_same_trace(runs[0], other)
+
+
+def test_slot_block_boundaries_leave_a_run_unchanged(monkeypatch):
+    # backpressure draws its arrivals _SLOT_BLOCK slots at a time: blocks of
+    # 1 slot, of 7 and 64 (which do not divide the 300 slots) and of 4096
+    # (past the horizon) give the same traces.  A block drawn route-major,
+    # as (R, n) and transposed, reads the stream in another order from
+    # block 7 on.  Prop-sched draws per slot and never reads the block size.
+    ex = load_example("k22")
+    spec, sched = scaled_rates(ex, 0.8), ex.schedules()
+    for mode in ("poisson", "bernoulli"):
+        cfg = SimConfig(horizon=300, seed=21, warmup_fraction=0.3, pairs=((0, 2),), checkpoints=7,
+                        slot_arrivals=mode)
+        runs = {simulate_backpressure: [], simulate_prop_sched: []}
+        for block in (1, 7, 64, 4096):
+            monkeypatch.setattr(sim, "_SLOT_BLOCK", block)
+            for simulate, out in runs.items():
+                out.append(simulate(spec, sched, cfg, polytope=ex.polytope, initial=(2, 1, 0, 3)))
+        for out in runs.values():
+            for other in out[1:]:
+                _assert_same_trace(out[0], other)
+        # and one slot at a time is the stream of the per-slot draws, on both
+        # sides of numpy's switch of Poisson method at 10
+        rates = np.array([0.0, 0.3, 2.0, 15.0])
+        per_slot = list(sim._slot_arrivals(np.random.default_rng(4), rates, mode == "bernoulli",
+                                           300, None))
+        for block in (1, 7, 4096):
+            assert list(sim._slot_arrivals(np.random.default_rng(4), rates, mode == "bernoulli",
+                                           300, block)) == per_slot
+
+
+@pytest.mark.parametrize("simulate", [simulate_prop_sched, simulate_backpressure])
+def test_slotted_checkpoints_fit_the_post_warmup_slots(simulate, one_edge):
+    # 20 slots at warm-up 0.2 leave 16 to snapshot: 16 checkpoints take them
+    # all, 17 cannot be kept distinct and raise rather than come back fewer
+    spec, poly, _ = one_edge
+    sched = spec.schedule_list()
+    tr = simulate(spec, sched, SimConfig(horizon=20, seed=2, checkpoints=16), polytope=poly)
+    assert [t for t, _, _ in tr.checkpoints] == [float(s) for s in range(4, 20)]
+    for n in (17, 50):
+        with pytest.raises(ValueError, match=f"{n} checkpoints asked of a run with 16 post-warmup"):
+            simulate(spec, sched, SimConfig(horizon=20, seed=2, checkpoints=n), polytope=poly)

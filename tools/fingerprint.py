@@ -22,9 +22,11 @@ Covered: store-forward traces on every catalogue network (initial fill, a
 queue pair, checkpoints); prop-sched and backpressure traces, Poisson and
 Bernoulli, on every graph preset and one schedule-only network, and runs
 longer than one collector chunk on ``k22`` and on ``merge``'s three routes
-over an interference graph, where one queue carries several routes; 200
+over an interference graph, where one queue carries several routes, and
+``grid3x3`` backpressure one slot past a whole arrival block; 200
 exact stationary states per network; fair solves and their lotteries on
-fixed states, plus weighted random polytopes; tilted and untilted log Phi
+fixed states, plus weighted random polytopes and two weighted polytopes
+whose pools share no queue; tilted and untilted log Phi
 with neighbours, the ``k22`` scaling sweep at c = 8 to 512, and a pool
 matrix in each of its six row orders at a vector where the listed order
 passes the step cap; the mean delay of each route's visit-count vector and of
@@ -70,6 +72,8 @@ SF_EVENTS_DEFAULT = 20_000
 SLOTS = 1000
 # past sim._CHUNK (4096) logged slots at the default warmup
 LONG_SLOTS = 6000
+# one slot past sim._SLOT_BLOCK (4096): the last arrival block holds one slot
+BLOCK_SLOTS = 4097
 STATES = 200
 SOLVE_STATES = 30
 RANDOM_POLYTOPES = 40
@@ -158,6 +162,12 @@ def _long_slotted(out):
                 lambda: simulate_prop_sched(spec, sched, cfg, initial=_fill(spec)))
             out[f"long/backpressure/{mode}/{name}"] = _digest(
                 lambda: simulate_backpressure(spec, sched, cfg, initial=_fill(spec)))
+    grid = load_example("grid3x3")
+    for mode in ("poisson", "bernoulli"):
+        cfg = SimConfig(horizon=BLOCK_SLOTS, seed=15, pairs=((0, 4),), checkpoints=3,
+                        slot_arrivals=mode)
+        out[f"block/backpressure/{mode}/grid3x3"] = _digest(
+            lambda: simulate_backpressure(grid.spec, grid.schedules(), cfg, initial=_fill(grid.spec)))
 
 
 def _stationary(out, examples):
@@ -218,6 +228,14 @@ def _weighted(out):
         q_real = rng.random(n) * 600
         out[f"propfair/weighted/{i:02d}"] = _digest(
             lambda: [solve_prop_fair(q, poly) for q in (q_int, q_real)])
+    # pools that share no queue, with empty queues and an empty pool among the states
+    disjoint = (np.array([[0.4, 0.0, 2.5, 0.0, 0.0], [0.0, 1.3, 0.0, 0.7, 0.2]]),
+                np.array([[3.0, 0.0, 0.0], [0.0, 0.25, 0.9]]))
+    for i, A in enumerate(disjoint):
+        poly = CapacityPolytope(A)
+        n = A.shape[1]
+        qs = (np.arange(1, n + 1), np.arange(n) % 3 * 40, np.arange(n) % 2, np.linspace(0.5, 600, n))
+        out[f"propfair/weighted-disjoint/{i}"] = _digest(lambda: [solve_prop_fair(q, poly) for q in qs])
 
 
 def _delays(out, examples):
