@@ -213,6 +213,9 @@ def independence_test(
     'inconclusive'.  At least MIN_SAMPLES samples are required.
     """
     occ = collect_joint(samples, pair)
+    width = len(samples.queue_means) if isinstance(samples, TraceMetrics) else np.shape(samples)[1]
+    if width != polytope.n_queues:
+        raise ValueError(f"samples hold {width} queues, the polytope {polytope.n_queues}")
     n = occ.total
     if n < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n:g}")

@@ -43,6 +43,7 @@ from .config import (
     config_hash,
     load_document,
     parse_config,
+    set_field,
 )
 from .model import NetworkValidationError, compute_loads
 from .presets import list_examples
@@ -363,7 +364,7 @@ def run(config_path: str, kind: str | None = None, overrides=(), seed=None,
     if seed is not None:
         doc["seeds"] = [seed]
     if horizon is not None:
-        doc.setdefault("sim", {})["horizon"] = horizon
+        set_field(doc, "sim.horizon", horizon)
     if out_dir is not None:
         doc["out"] = out_dir
     cfg = parse_config(doc)

@@ -104,8 +104,6 @@ def _expect(doc, key, types, path, required=True, default=None):
 
 def _number(doc, key, path, required=True, default=None, positive=False):
     val = _expect(doc, key, (int, float), path, required, default)
-    if val is None:
-        return None
     if not math.isfinite(val):
         raise ConfigError(f"{path}.{key}" if path else key, "must be a finite number")
     if positive and val <= 0:
@@ -350,6 +348,19 @@ def _parse_override_value(text: str):
         return text
 
 
+def set_field(doc: dict, key: str, value) -> None:
+    """doc[a][b]... = value for the dotted key a.b...; only objects may lie on the way."""
+    parts = key.split(".")
+    if not all(parts):
+        raise ConfigError("override", f"bad key {key!r}")
+    node = doc
+    for i, part in enumerate(parts[:-1]):
+        node = node.setdefault(part, {})
+        if not isinstance(node, dict):
+            raise ConfigError(".".join(parts[: i + 1]), f"expected an object, cannot set {key}")
+    node[parts[-1]] = value
+
+
 def apply_overrides(doc: dict, overrides) -> dict:
     """Apply key=value pairs with dotted paths, e.g. sim.horizon=5000."""
     out = json.loads(json.dumps(doc))
@@ -357,17 +368,7 @@ def apply_overrides(doc: dict, overrides) -> dict:
         if "=" not in item:
             raise ConfigError("override", f"{item!r} is not of the form key=value")
         key, _, text = item.partition("=")
-        parts = key.strip().split(".")
-        if not all(parts):
-            raise ConfigError("override", f"bad key {key!r}")
-        node = out
-        for part in parts[:-1]:
-            nxt = node.get(part)
-            if not isinstance(nxt, dict):
-                nxt = {}
-                node[part] = nxt
-            node = nxt
-        node[parts[-1]] = _parse_override_value(text.strip())
+        set_field(out, key.strip(), _parse_override_value(text.strip()))
     return out
 
 
@@ -380,6 +381,8 @@ def load_document(path: str, overrides=None) -> dict:
         raise ConfigError("config", f"file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"invalid JSON in {path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError("config", f"{path} must hold a JSON object")
     return apply_overrides(doc, overrides) if overrides else doc
 
 

@@ -38,6 +38,8 @@ class SimConfig:
     checkpoints: int = 0
 
     def __post_init__(self):
+        for key, name in (("batches", "batch count"), ("checkpoints", "checkpoint count")):
+            object.__setattr__(self, key, as_integers(getattr(self, key), name).item())
         if not 0 < self.horizon < math.inf:
             raise ValueError("horizon must be positive and finite")
         if not 0.0 <= self.warmup_fraction < 1.0:

@@ -251,7 +251,7 @@ def solve_prop_fair(
     # dual scales by sum(Q)
     prices[rows] = p * total
     slack_full = 1.0 - A_full @ rates
-    residual = float(max((-slack_full).max(initial=0.0),
+    residual = float(max(0.0, (-slack_full).max(initial=0.0),
                          (prices * abs(slack_full)).max(initial=0.0) / total))
     objective = float(q_raw[active] @ np.log(s_act))
     return PropFairSolution(

@@ -24,7 +24,7 @@ _BLOCK = 1 << 16
 # draws converted to Python floats at a time; the collector flushes its log
 # once per chunk
 _CHUNK = 1 << 12
-# slots whose arrivals a policy that takes no draws of its own draws at once
+# slots whose arrivals are drawn at once
 _SLOT_BLOCK = 1 << 12
 
 
@@ -131,12 +131,9 @@ class _Collector:
         with np.errstate(invalid="ignore"):
             qbm = qint / mass[:, None]
             cbm = cint / mass[:, None]
-        if total > 0:
-            q_mean = qint.sum(axis=0) / total
-            c_mean = cint.sum(axis=0) / total
-        else:
-            q_mean = np.zeros(qint.shape[1])
-            c_mean = np.zeros(cint.shape[1])
+        # every run credits its whole post-warmup window, so total > 0
+        q_mean = qint.sum(axis=0) / total
+        c_mean = cint.sum(axis=0) / total
         return TraceMetrics(
             kind=kind,
             horizon=self.horizon,
@@ -316,38 +313,29 @@ def simulate_store_forward(
     return col.finalize("store-forward", admitted, departed, sum(Q), transient, checkpoints)
 
 
-def _slot_arrivals(rng, rates, bernoulli, horizon, block):
+def _slot_arrivals(rng, rates, bernoulli, horizon):
     """Each slot's arrival counts per route, as a list of ints.
 
-    With ``block`` None each slot draws when the loop reaches it: one
-    scalar Poisson draw per route, the sampler and stream of
-    ``rng.poisson(rates)``, or one ``rng.random(R)``.  Otherwise the counts
-    of up to ``block`` slots are drawn at once, ``rng.poisson(rates,
-    size=(n, R))`` or ``rng.random((n, R)) < rates``, which fill their rows
-    slot by slot from the same stream.  Only a policy that takes no draws
-    of its own between slots may read them a block at a time."""
+    The counts of up to ``_SLOT_BLOCK`` slots are drawn at once,
+    ``rng.poisson(rates, size=(n, R))`` or ``rng.random((n, R)) < rates``,
+    which fill their rows slot by slot from the stream, so the block size
+    never moves a run."""
     R = len(rates)
-    if block is None:
-        rates = rates.tolist()
-        for _ in range(horizon):
-            yield ([int(u < a) for u, a in zip(rng.random(R).tolist(), rates)] if bernoulli
-                   else [rng.poisson(a) for a in rates])
-        return
-    for lo in range(0, horizon, block):
-        size = (min(block, horizon - lo), R)
+    for lo in range(0, horizon, _SLOT_BLOCK):
+        size = (min(_SLOT_BLOCK, horizon - lo), R)
         counts = (rng.random(size) < rates).astype(np.int64) if bernoulli else rng.poisson(rates, size)
         yield from counts.tolist()
 
 
-def _slotted_run(spec, cfg, serve_fn, kind, initial, transient, block):
+def _slotted_run(spec, cfg, serve_fn, kind, initial, transient):
     """Common slot loop: arrivals, policy-specific service, collection.
 
-    serve_fn(rng, Q, X, fifo) takes the packets it serves off the queue
-    FIFOs of (route, arrival slot) and returns a list of
+    The initial fill and the arrivals come from ``default_rng(cfg.seed)``,
+    which no policy reads, so one seed gives every policy the same
+    arrivals.  serve_fn(Q, X, fifo) takes the packets it serves off the
+    queue FIFOs of (route, arrival slot) and returns a list of
     (queue, route, arrival slots) actions it took; X holds per-queue lists
-    of route counts.  ``block`` is None when serve_fn draws from ``rng``,
-    else the number of slots whose arrivals are drawn at once (see
-    ``_slot_arrivals``).
+    of route counts.
     """
     horizon, warm_slots = cfg.slot_window()
     col = _Collector(spec, cfg, float(horizon), float(warm_slots))
@@ -364,7 +352,7 @@ def _slotted_run(spec, cfg, serve_fn, kind, initial, transient, block):
     X = X.tolist()
     cp_slots = {int(v) for v in np.linspace(warm_slots, horizon - 1, cfg.checkpoints)}
     checkpoints = []
-    arrivals = _slot_arrivals(rng, spec.rates(), cfg.slot_arrivals == "bernoulli", horizon, block)
+    arrivals = _slot_arrivals(rng, spec.rates(), cfg.slot_arrivals == "bernoulli", horizon)
 
     for slot, counts in enumerate(arrivals):
         for r, c in enumerate(counts):
@@ -376,7 +364,7 @@ def _slotted_run(spec, cfg, serve_fn, kind, initial, transient, block):
                 content[r] += c
                 admitted += c
         if any(Q):
-            for j, r, arr_slots in serve_fn(rng, Q, X, fifo):
+            for j, r, arr_slots in serve_fn(Q, X, fifo):
                 n = len(arr_slots)
                 Q[j] -= n
                 X[j][r] -= n
@@ -433,8 +421,10 @@ def simulate_prop_sched(
     S = _schedule_array(spec, schedules).astype(float)
     # per queue vector: the lottery's draw and its schedules as int rows
     lotteries: dict = {}
+    # the lottery's own stream, apart from the arrivals'
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
 
-    def serve(rng, Q, X, fifo):
+    def serve(Q, X, fifo):
         key = tuple(Q)
         lottery = lotteries.get(key)
         if lottery is None:
@@ -452,8 +442,7 @@ def simulate_prop_sched(
                 actions.append((j, r, by_route[r]))
         return actions
 
-    # the lottery draws from the arrivals' stream between slots
-    return _slotted_run(spec, cfg, serve, "prop-sched", initial, transient, None)
+    return _slotted_run(spec, cfg, serve, "prop-sched", initial, transient)
 
 
 def simulate_backpressure(
@@ -481,7 +470,7 @@ def simulate_backpressure(
     else:
         transient = _pool_matrix(spec, polytope)[1]
 
-    def serve(rng, Q, X, fifo):
+    def serve(Q, X, fifo):
         # each queue's weight and heaviest route: the first (lowest id) route
         # of largest positive differential
         w, heaviest = [], []
@@ -513,5 +502,4 @@ def simulate_backpressure(
             actions.append((j, r, got))
         return actions
 
-    # the schedule takes no draws, so arrivals come a block of slots at a time
-    return _slotted_run(spec, cfg, serve, "backpressure", initial, transient, _SLOT_BLOCK)
+    return _slotted_run(spec, cfg, serve, "backpressure", initial, transient)

@@ -121,6 +121,17 @@ def test_independence_needs_samples(single_pool_sym):
         independence_test(qs, (0, 1), poly)
 
 
+def test_independence_needs_the_polytope_queues(merge):
+    # merge's three queues against k22's four-queue polytope: queues 0 and 2
+    # share a k22 pool, which says nothing about merge
+    spec, poly = merge
+    qs = StationarySampler(spec, poly, seed=2).sample_queues(2000)
+    tr = simulate_store_forward(spec, poly, SimConfig(horizon=50, seed=2, pairs=((0, 2),)))
+    for source in (qs, tr):
+        with pytest.raises(ValueError, match="samples hold 3 queues, the polytope 4"):
+            independence_test(source, (0, 2), load_example("k22").polytope)
+
+
 def test_stationary_mix(merge):
     spec, poly = merge
     mix = stationary_mix(spec, poly)

@@ -182,7 +182,7 @@ def test_examples_bundle():
     assert flags["k22"] is True
 
 
-def test_main_exit_codes(tmp_path, capsys):
+def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     ok = _write(tmp_path, {"network": "tandem"})
     assert main(["analyze", "--config", ok]) == 0
 
@@ -296,6 +296,60 @@ def test_main_exit_codes(tmp_path, capsys):
         bad = _write(tmp_path, doc, name="labels.json")
         assert main(["analyze", "--config", bad]) == 2
         assert "error: network.queue_labels: " in capsys.readouterr().err
+    # and an accepted list names the queues in the rows
+    labelled = {"network": {"queues": 2, "routes": [{"path": [0, 1], "rate": 0.5}],
+                            "capacity": {"matrix": [[1.0, 0.0], [0.0, 1.0]]},
+                            "queue_labels": ["in", "out"]}}
+    bundle = run(_write(tmp_path, labelled, name="labelled.json"), kind="analyze")
+    for section in ("queue-load", "mean-queue"):
+        assert [r[1] for r in bundle.rows if r[0] == section] == ["in", "out"]
+
+    # every refusal names the field it refuses
+    net = {"queues": 3, "routes": [{"path": [0, 1], "rate": 0.2}], "capacity": {"edges": [[0, 1]]}}
+    for i, (argv, field, doc) in enumerate((
+        (["analyze"], "network", {"network": 5}),
+        (["analyze"], "network.queues", {"network": {**net, "queues": 0}}),
+        (["analyze"], "network.routes", {"network": {**net, "routes": []}}),
+        (["analyze"], "network.routes[0]", {"network": {**net, "routes": [5]}}),
+        (["analyze"], "network.routes[0].path",
+         {"network": {**net, "routes": [{"path": [0.5], "rate": 0.2}]}}),
+        (["analyze"], "network.routes[0].rate",
+         {"network": {**net, "routes": [{"path": [0], "rate": 0}]}}),
+        (["analyze"], "network.capacity", {"network": {**net, "capacity": {}}}),
+        (["analyze"], "network.capacity",
+         {"network": {**net, "capacity": {"edges": [[0, 1]], "matrix": [[1, 1, 1]]}}}),
+        (["analyze"], "network.capacity.edges", {"network": {**net, "capacity": {"edges": [[0, 3]]}}}),
+        (["analyze"], "network", {"network": {**net, "routes": [{"path": [0, 4], "rate": 0.2}]}}),
+        (["simulate"], "sim", {"network": "tandem", "sim": 5}),
+        (["simulate"], "sim.pairs", {"network": "tandem", "sim": {"pairs": 5}}),
+        (["simulate"], "sim.pairs[0]", {"network": "tandem", "sim": {"pairs": [[0]]}}),
+        (["analyze"], "independence", {"network": "tandem", "independence": 5}),
+        (["independence"], "independence.pairs", {"network": "tandem", "independence": {"pairs": []}}),
+        (["independence"], "independence.samples",
+         {"network": "tandem", "independence": {"pairs": [[0, 1]], "samples": 0}}),
+        (["ldp"], "ldp.scales", {"network": "tandem", "ldp": {"queue_vector": [1, 1], "scales": [0]}}),
+        (["balance"], "balance", {"network": "tandem", "balance": 5}),
+        (["balance"], "balance.checks", {"network": "tandem", "balance": {"checks": 0}}),
+        (["analyze"], "config", []),
+        (["analyze", "--override", "sim..horizon=5"], "override", {"network": "tandem"}),
+        (["simulate", "--override", "sim.horizon=500"], "sim", {"network": "tandem", "sim": 5}),
+        (["simulate", "--horizon", "500"], "sim", {"network": "tandem", "sim": 5}),
+    )):
+        bad = _write(tmp_path, doc, name=f"refused-{i}.json")
+        assert main([argv[0], "--config", bad, *argv[1:]]) == 2, (field, doc)
+        assert f"error: {field}: " in capsys.readouterr().err, (field, doc)
+
+    # the replication worker cap is a positive integer
+    tandem = _write(tmp_path, {"network": "tandem", "sim": {"horizon": 50}}, name="threads.json")
+    for value in ("two", "0"):
+        monkeypatch.setenv("SWITCHNET_THREADS", value)
+        assert main(["simulate", "--config", tandem]) == 2
+        assert "error: SWITCHNET_THREADS: " in capsys.readouterr().err
+    monkeypatch.delenv("SWITCHNET_THREADS")
+
+    # the closed forms of compare need admissible loads
+    assert main(["compare", "--config", overload]) == 2
+    assert "error: stationary formulas need admissible loads" in capsys.readouterr().err
 
 
 def test_main_examples_subcommand(capsys):

@@ -216,6 +216,20 @@ def test_override_must_have_equals():
         apply_overrides({}, ["sim.horizon"])
 
 
+def test_document_must_be_an_object():
+    for doc in ([], "tandem", 5):
+        with pytest.raises(ConfigError, match="config document must be a JSON object"):
+            parse_config(doc)
+
+
+def test_override_path_through_a_non_object_is_refused():
+    # a value on the way is the document's error, not an empty object to fill
+    for doc, key in (({"sim": 5}, "sim"), ({"sim": None}, "sim"), ({"ldp": {"x": [1]}}, "ldp.x")):
+        with pytest.raises(ConfigError, match=f"^{key}: expected an object, cannot set {key}.y"):
+            apply_overrides(doc, [f"{key}.y=500"])
+    assert apply_overrides({"sim": {}}, ["sim.a.b=1"]) == {"sim": {"a": {"b": 1}}}
+
+
 def test_hash_ignores_seeds_and_out():
     a = {"kind": "analyze", "network": "tandem", "seeds": [1], "out": "x"}
     b = {"kind": "analyze", "network": "tandem", "seeds": [9, 9], "out": "y"}

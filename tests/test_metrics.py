@@ -33,6 +33,18 @@ def test_sim_config_validation():
         SimConfig(horizon=10, checkpoints=-1)
 
 
+def test_sim_config_counts_are_integers():
+    # an integer-valued float is its integer; a boolean, a fraction or a
+    # string is refused, not taken as a count
+    cfg = SimConfig(horizon=10, batches=3.0, checkpoints=np.int64(2))
+    assert (cfg.batches, cfg.checkpoints) == (3, 2)
+    assert type(cfg.batches) is int and type(cfg.checkpoints) is int
+    for key, name in (("batches", "batch count"), ("checkpoints", "checkpoint count")):
+        for bad in (True, 2.5, "3", math.nan):
+            with pytest.raises(ValueError, match=f"{name} must hold integers"):
+                SimConfig(horizon=10, **{key: bad})
+
+
 def test_batch_se_hand_value():
     assert batch_se([1.0, 2.0, 3.0, 4.0]) == pytest.approx(0.6454972243679028)
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from switchnet.model import CapacityPolytope, enumerate_schedules
 from switchnet import propfair
 from switchnet.normconst import NormConstCache
-from switchnet.presets import load_example
+from switchnet.presets import list_examples, load_example
 from switchnet.propfair import (
     InfeasibleTargetError,
     ScheduleDistribution,
@@ -17,7 +17,7 @@ from switchnet.propfair import (
     sf_pf_gap,
     solve_prop_fair,
 )
-from switchnet.storeforward import store_forward_rates
+from switchnet.storeforward import StationarySampler, store_forward_rates
 
 from strategies import perfect_graphs, polytopes
 
@@ -219,6 +219,17 @@ def test_shared_queues_still_run_the_interior_point(monkeypatch):
     assert len(calls) == 2
     solve_prop_fair([1, 0, 2], CapacityPolytope(np.array([[1.0, 0, 0], [0, 2.0, 0.5]])))
     assert len(calls) == 2
+
+
+def test_kkt_residual_has_no_negative_zero():
+    # a pool whose slack is exactly 0.0 gives -0.0 in the residual's first
+    # term; the residual is a maximum of absolute errors and starts at 0.0
+    for ex in list_examples():
+        sampler = StationarySampler(ex.spec, ex.polytope, seed=3)
+        for q in sampler.sample_queues(40):
+            if q.any():
+                res = solve_prop_fair(q, ex.polytope).kkt_residual
+                assert math.copysign(1.0, res) == 1.0, (ex.name, q.tolist(), res)
 
 
 def test_solver_queue_alone_in_its_pool():

@@ -194,6 +194,19 @@ def test_initial_state_conserved(tandem):
     assert tr.conservation_ok()
 
 
+def test_initial_occupancy_and_schedules_must_fit_the_network(tandem):
+    spec, poly = tandem
+    cfg = SimConfig(horizon=50, seed=1)
+    for initial in ((1,), (1, -1), (1, 2, 3)):
+        with pytest.raises(ValueError, match="initial occupancy must be a nonnegative vector per queue"):
+            simulate_store_forward(spec, poly, cfg, initial=initial)
+    idle = NetworkSpec(2, [Route("a", (0,), 0.3)], CapacityPolytope(np.eye(2)))
+    with pytest.raises(ValueError, match="queue 1 has initial packets but no route serves it"):
+        simulate_store_forward(idle, None, cfg, initial=(0, 2))
+    with pytest.raises(ValueError, match=r"schedules must be \(n_schedules, n_queues\)"):
+        simulate_backpressure(spec, [[1, 0, 1]], cfg)
+
+
 def test_initial_fill_draws_the_sampler_labels(merge):
     # the initial fill and the exact sampler share one stationary label draw
     spec, poly = merge
@@ -410,61 +423,12 @@ def test_backpressure_slot_matches_the_numpy_formula(data):
         packets = [r for r in range(len(paths)) for _ in range(X[j][r])]
         fifo.append(deque(zip(data.draw(st.permutations(packets)), range(len(packets)))))
     before = [list(f) for f in fifo]
-    actions = _backpressure_serve(spec, S)(None, [sum(x) for x in X], X, fifo)
+    actions = _backpressure_serve(spec, S)([sum(x) for x in X], X, fifo)
     assert [(j, r, len(got)) for j, r, got in actions] == _backpressure_oracle(spec, S, X)
     for j, r, got in actions:
         # the oldest packets of the route leave; the rest keep their order
         assert got == [a for q, a in before[j] if q == r][:len(got)]
         assert list(fifo[j]) == [p for p in before[j] if p[0] != r or p[1] not in got]
-
-
-def test_slot_arrivals_follow_the_array_stream(monkeypatch):
-    # one scalar draw per route gives the values rng.poisson(rates) gives,
-    # interleaved with uniforms, for a zero rate and on both sides of numpy's
-    # switch of Poisson method at 10
-    rates = np.array([0.0, 0.3, 2.0, 15.0, 40.0])
-    a, b = np.random.default_rng(7), np.random.default_rng(7)
-    for _ in range(300):
-        assert [a.poisson(lam) for lam in rates.tolist()] == b.poisson(rates).tolist()
-        assert a.random() == b.random()
-    # and the slot loop takes them in that order: one slot's arrivals, then
-    # the lottery's uniform; a loop that drew arrivals in blocks would not
-    make_rng, calls = np.random.default_rng, []
-
-    class Recorder:
-        def __init__(self, seed):
-            self.rng = make_rng(seed)
-
-        def poisson(self, lam):
-            calls.append(("poisson", self.rng.poisson(lam)))
-            return calls[-1][1]
-
-        def random(self, size=None):
-            calls.append(("random", self.rng.random(size)))
-            return calls[-1][1]
-
-    monkeypatch.setattr(np.random, "default_rng", Recorder)
-    spec = NetworkSpec(2, [Route("slow", (0,), 0.4), Route("fast", (1,), 12.0)],
-                       InterferenceGraph.from_edges(2, [(0, 1)]))
-    for mode in ("poisson", "bernoulli"):
-        calls.clear()
-        cfg = SimConfig(horizon=150, seed=3, slot_arrivals=mode)
-        simulate_prop_sched(spec, spec.schedule_list(), cfg, polytope=CapacityPolytope(np.ones((1, 2))))
-        ref = make_rng(3)
-        for _ in range(cfg.horizon):
-            if mode == "poisson":
-                want, got = ref.poisson(spec.rates()).tolist(), []
-                while len(got) < len(want):
-                    kind, value = calls.pop(0)
-                    assert kind == "poisson"
-                    got += np.ravel(value).tolist()
-            else:
-                want, (kind, got) = ref.random(2), calls.pop(0)
-                assert kind == "random" and np.shape(got) == (2,)
-            assert np.array_equal(got, want)
-            if calls and calls[0][0] == "random" and np.ndim(calls[0][1]) == 0:
-                assert calls.pop(0)[1] == ref.random()
-        assert not calls
 
 
 @pytest.mark.parametrize("simulate", [simulate_prop_sched, simulate_backpressure])
@@ -483,32 +447,47 @@ def test_slotted_chunk_boundaries_leave_a_run_unchanged(simulate, monkeypatch):
 
 
 def test_slot_block_boundaries_leave_a_run_unchanged(monkeypatch):
-    # backpressure draws its arrivals _SLOT_BLOCK slots at a time: blocks of
-    # 1 slot, of 7 and 64 (which do not divide the 300 slots) and of 4096
-    # (past the horizon) give the same traces.  A block drawn route-major,
-    # as (R, n) and transposed, reads the stream in another order from
-    # block 7 on.  Prop-sched draws per slot and never reads the block size.
+    # every slotted run draws its arrivals _SLOT_BLOCK slots at a time:
+    # blocks of 1 slot, of 7 and 64 (which do not divide the 300 slots) and
+    # of 4096 (past the horizon) give the same traces.  A block drawn
+    # route-major, as (R, n) and transposed, reads the stream in another
+    # order from block 7 on.
     ex = load_example("k22")
     spec, sched = scaled_rates(ex, 0.8), ex.schedules()
+    rates = np.array([0.0, 0.3, 2.0, 15.0])
     for mode in ("poisson", "bernoulli"):
         cfg = SimConfig(horizon=300, seed=21, warmup_fraction=0.3, pairs=((0, 2),), checkpoints=7,
                         slot_arrivals=mode)
+        # the per-slot draws, on both sides of numpy's switch of Poisson
+        # method at 10
+        ref = np.random.default_rng(4)
+        per_slot = [(ref.random(len(rates)) < rates).astype(int).tolist() if mode == "bernoulli"
+                    else ref.poisson(rates).tolist() for _ in range(300)]
         runs = {simulate_backpressure: [], simulate_prop_sched: []}
         for block in (1, 7, 64, 4096):
             monkeypatch.setattr(sim, "_SLOT_BLOCK", block)
             for simulate, out in runs.items():
                 out.append(simulate(spec, sched, cfg, polytope=ex.polytope, initial=(2, 1, 0, 3)))
+            assert list(sim._slot_arrivals(np.random.default_rng(4), rates, mode == "bernoulli",
+                                           300)) == per_slot
         for out in runs.values():
             for other in out[1:]:
                 _assert_same_trace(out[0], other)
-        # and one slot at a time is the stream of the per-slot draws, on both
-        # sides of numpy's switch of Poisson method at 10
-        rates = np.array([0.0, 0.3, 2.0, 15.0])
-        per_slot = list(sim._slot_arrivals(np.random.default_rng(4), rates, mode == "bernoulli",
-                                           300, None))
-        for block in (1, 7, 4096):
-            assert list(sim._slot_arrivals(np.random.default_rng(4), rates, mode == "bernoulli",
-                                           300, block)) == per_slot
+
+
+@pytest.mark.parametrize("mode", ["poisson", "bernoulli"])
+@pytest.mark.parametrize("name", ["one-edge", "tandem4", "k22", "grid3x3"])
+def test_slotted_schedulers_share_their_arrivals(name, mode):
+    # one seed and one initial fill give both schedulers the same arrival
+    # sample path: common random numbers for the comparison
+    ex = load_example(name)
+    spec = scaled_rates(ex, 0.8)
+    fill = tuple(np.where(spec.queue_loads > 0, 2, 0).tolist())
+    for seed in range(3):
+        cfg = SimConfig(horizon=400, seed=seed, slot_arrivals=mode)
+        ps = simulate_prop_sched(spec, ex.schedules(), cfg, polytope=ex.polytope, initial=fill)
+        bp = simulate_backpressure(spec, ex.schedules(), cfg, polytope=ex.polytope, initial=fill)
+        assert ps.admitted == bp.admitted
 
 
 @pytest.mark.parametrize("simulate", [simulate_prop_sched, simulate_backpressure])
