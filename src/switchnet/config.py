@@ -319,7 +319,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
             try:
                 perfect = is_perfect(graph)
             except CapExceededError:
-                perfect = True  # above the perfection test's size cap: accepted untested
+                perfect = True  # not bipartite, and above the test's size cap: accepted untested
             if not perfect:
                 raise ConfigError(
                     "sim.engine",

@@ -217,10 +217,7 @@ def collect_joint(source, pair, cap: int = JOINT_CAP) -> JointOccupancy:
         if pair not in source.joint_histograms:
             raise KeyError(f"pair {pair} was not recorded; pass it in SimConfig.pairs")
         counts = source.joint_histograms[pair]
-        total = float(counts.sum())
-        if total <= 0:
-            raise ValueError("trace holds no post-warmup mass for this pair")
-        return JointOccupancy(pair=pair, counts=counts.astype(float), total=total)
+        return JointOccupancy(pair=pair, counts=counts.astype(float), total=float(counts.sum()))
     samples = np.asarray(source)
     if samples.ndim != 2 or len(samples) == 0:
         raise ValueError("need a nonempty (n, n_queues) sample array")

@@ -401,9 +401,42 @@ def _has_induced_odd_hole(graph: InterferenceGraph) -> bool:
     return False
 
 
+def two_colouring(n: int, edges) -> np.ndarray | None:
+    """Side (0 or 1) of each of n vertices in a 2-colouring of the graph
+    with these (u, v) edges, or None when the graph has an odd cycle.  In
+    each connected component side 0 is the smaller class, and the class of
+    the component's lowest vertex on a tie, so an isolated vertex is on
+    side 1."""
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    side = [-1] * n
+    for root in range(n):
+        if side[root] >= 0:
+            continue
+        side[root] = 0
+        comp = [root]
+        for v in comp:  # breadth first: comp grows while it is read
+            for u in nbrs[v]:
+                if side[u] < 0:
+                    side[u] = 1 - side[v]
+                    comp.append(u)
+                elif side[u] == side[v]:
+                    return None
+        if 2 * sum(side[v] for v in comp) < len(comp):
+            for v in comp:
+                side[v] ^= 1
+    return np.array(side, dtype=int)
+
+
 def is_perfect(graph: InterferenceGraph) -> bool:
     """Exact perfection test: no induced odd cycle of length >= 5 in the graph
-    or in its complement.  Brute force, capped at ``PERFECTION_CAP`` vertices."""
+    or in its complement.  A bipartite graph is perfect (König 1916), which a
+    2-colouring shows at any size; other graphs are tested by brute force,
+    capped at ``PERFECTION_CAP`` vertices."""
+    if two_colouring(graph.n, graph.edges) is not None:
+        return True
     if graph.n > PERFECTION_CAP:
         raise CapExceededError(
             f"perfection test capped at {PERFECTION_CAP} vertices, graph has {graph.n}"

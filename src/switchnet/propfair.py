@@ -2,7 +2,10 @@
 between it and the store-forward allocation under queue scaling, and the
 decomposition of a fractional allocation into a lottery over schedules.
 
-The solver is a primal-dual interior-point method (Mehrotra's
+The solver takes exact closed forms where the pools allow: store-forward
+rates when no occupied queue lies in two pools, and an isotonic block peel
+when every pool is one queue or a unit edge of a bipartite graph.
+Elsewhere it is a primal-dual interior-point method (Mehrotra's
 predictor-corrector) on the rates, slacks and pool prices, followed by an
 active-set Newton polish on the prices that makes degenerate optima exact.
 It needs no starting point, and one solve serves every caller: the
@@ -19,13 +22,22 @@ exactly the schedules.
 
 from __future__ import annotations
 
+import functools
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import lapack
 
-from .model import CapacityPolytope, InterferenceGraph, as_finite, as_integers, cliques_to_polytope
+from .model import (
+    SCHEDULE_CAP,
+    CapacityPolytope,
+    InterferenceGraph,
+    as_finite,
+    as_integers,
+    cliques_to_polytope,
+    two_colouring,
+)
 from .normconst import NormConstCache
 from .storeforward import store_forward_rates
 
@@ -151,51 +163,12 @@ def _price_residual(p, A, q):
     return max((-slack).max(initial=0.0), (p * abs(slack)).max(initial=0.0)), c, slack
 
 
-def solve_prop_fair(
-    Q,
-    polytope: CapacityPolytope,
-    tol: float = 1e-8,
-) -> PropFairSolution:
-    """Proportionally fair allocation for queue vector Q.
-
-    Queues with Q_j = 0 are pinned to rate 0 and dropped from the
-    objective.  The problem is normalized to sum(q) = 1 and solved by a
-    primal-dual interior-point method; an active-set Newton polish on the
-    prices then makes degenerate optima (a pool with zero price and zero
-    slack) exact.  When every occupied queue lies in exactly one pool that
-    holds occupied queues, the problem splits by pool and the interior
-    point is skipped: each pool's price is its share of the backlog,
-    p_l = sum_{j in l} q_j, and the rates are the store-forward rates
-    Q_j / (A_lj N_l).  The polish and the residual run either way.
-    ``converged`` reports whether the KKT residual is at most ``tol``.
-    """
-    q_raw = as_finite(Q, "queue vector")
-    if q_raw.shape != (polytope.n_queues,):
-        raise ValueError("queue vector length does not match the polytope")
-    if (q_raw < 0).any():
-        raise ValueError("queue vector must be nonnegative")
-    active = q_raw > 0
-    if not active.any():
-        raise ValueError("queue vector must have at least one positive entry")
-
-    A_full = polytope.matrix
-    total = q_raw.sum()
-    # scale to a probability vector so tolerances do not depend on |Q|
-    q = q_raw[active] / total
-    A_act = A_full[:, active]
-    rows = np.flatnonzero(A_act.sum(axis=1) > 0)
-    A = A_act[rows]
-    n_pools = len(rows)
-
-    member = A > 0
-    if (member.sum(axis=0) == 1).all():
-        # disjoint pools: the exact prices are the pools' backlogs
-        p, iters = member @ q, 0
-    else:
-        p, iters = _interior_point(q, A)
+def _polish(p, A, q, tol):
+    """Active-set Newton polish of the prices p, which makes degenerate
+    optima (a pool with zero price and zero slack) exact.  Returns the
+    prices of least KKT residual, their rates q / (A^T p) and the number
+    of Newton steps."""
     res, c, slack = _price_residual(p, A, q)
-
-    # ---- active-set Newton polish ----
     newton_iters = 0
     for _ in range(4):
         act = (p > 1e-9 * max(p.max(initial=0.0), 1.0)) | (slack < 1e-7)
@@ -234,16 +207,156 @@ def solve_prop_fair(
                 break
             p_a, improved = cand, True
         if improved:
-            p_try = np.zeros(n_pools)
+            p_try = np.zeros(len(A))
             p_try[idx] = p_a
             res_try, c_try, slack_try = _price_residual(p_try, A, q)
             if res_try <= res:
                 p, c, slack, res = p_try, c_try, slack_try, res_try
         if res <= tol * 1e-4:
             break
+    return q / c, p, newton_iters
+
+
+@functools.lru_cache(maxsize=1024)
+def _unit_bipartite_sides(shape, data: bytes):
+    """(left, right, adjacency) of the float pool matrix with this shape
+    and these bytes when its rows are 0/1 with at most two members, its
+    two-member rows are the edges of a bipartite graph, and the smaller
+    classes of that graph's components hold at most SCHEDULE_CAP // 2
+    queues in all; None otherwise.  ``left`` and ``right`` are sides 0 and
+    1 of ``model.two_colouring``, and ``adjacency[i, k]`` says whether
+    queues left[i] and right[k] share a pool."""
+    A = np.frombuffer(data).reshape(shape)
+    member = A > 0
+    if not ((A == member).all() and (member.sum(axis=1) <= 2).all()):
+        return None
+    edges = np.argwhere(member[member.sum(axis=1) == 2])[:, 1].reshape(-1, 2)
+    side = two_colouring(shape[1], edges.tolist())
+    if side is None or (side == 0).sum() > SCHEDULE_CAP // 2:
+        return None
+    adj = np.zeros((shape[1], shape[1]), dtype=bool)
+    adj[edges[:, 0], edges[:, 1]] = adj[edges[:, 1], edges[:, 0]] = True
+    left, right = np.flatnonzero(side == 0), np.flatnonzero(side == 1)
+    sides = (left, right, adj[np.ix_(left, right)])
+    for a in sides:
+        a.setflags(write=False)
+    return sides
+
+
+@functools.lru_cache(maxsize=None)
+def _subsets(k: int) -> np.ndarray:
+    """The 2^k - 1 nonempty subsets of k items, one bool row each."""
+    rows = (np.arange(1, 1 << k)[:, None] >> np.arange(k) & 1).astype(bool)
+    rows.setflags(write=False)
+    return rows
+
+
+def _isotonic_peel(q, A):
+    """Exact rates and prices of max sum q_j log s_j s.t. A s <= 1 when
+    every pool of A is one queue or a unit edge of a bipartite graph with
+    at most SCHEDULE_CAP // 2 queues on its smaller sides (left); None
+    otherwise.
+
+    The rates come from a block peel: among the nonempty sets S of
+    unpeeled left queues, with N their unpeeled neighbours, take those of
+    least z = q(N) / (q(N) + q(S)), their union S and its N, give N the
+    rate z and S the rate 1 - z, and peel both.  Right queues with no
+    left neighbour keep rate 1.  With x = s on the left and 1 - s on the
+    right, the problem is a Bernoulli-likelihood isotonic regression of
+    1 on the left and 0 on the right, weights q, under x_left <= x_right
+    on every edge; its solution has these level sets (Robertson, Wright
+    and Dykstra 1988).  The prices solve A_t^T p = q / s with p >= 0 on
+    the tight pools A_t, a transportation problem per block that the
+    least z makes feasible (Hall's condition)."""
+    sides = _unit_bipartite_sides(A.shape, A.tobytes())
+    if sides is None:
+        return None
+    left, right, adj = sides
+    subsets = _subsets(len(left))
+    hood = subsets @ adj
+    q_left, q_right = q[left], q[right]
+    q_sub = subsets @ q_left
+    s = np.ones(len(q))
+    open_sub = np.ones(len(subsets), dtype=bool)  # subsets of unpeeled left queues
+    rest = np.ones(len(right), dtype=bool)  # unpeeled right queues
+    while open_sub.any():
+        q_hood = hood @ (q_right * rest)
+        z = np.where(open_sub, q_hood / (q_hood + q_sub), np.inf)
+        ties = z == z.min()
+        S = subsets[ties].any(axis=0)
+        N = hood[ties].any(axis=0) & rest
+        a, b = q_left[S].sum(), q_right[N].sum()
+        s[left[S]] = a / (a + b)
+        s[right[N]] = b / (a + b)
+        rest &= ~N
+        open_sub &= ~subsets[:, S].any(axis=1)
+    from scipy.optimize import nnls  # kept off the package import: 0.1 s
+
+    tight = A @ s > 1.0 - 1e-12
+    p = np.zeros(len(A))
+    p[tight] = nnls(A[tight].T, q / s)[0]
+    return s, p
+
+
+def solve_prop_fair(
+    Q,
+    polytope: CapacityPolytope,
+    tol: float = 1e-8,
+) -> PropFairSolution:
+    """Proportionally fair allocation for queue vector Q.
+
+    Queues with Q_j = 0 are pinned to rate 0 and dropped from the
+    objective, and so are the pools that hold no occupied queue.  The
+    problem is normalized to sum(q) = 1 and solved by the first of three
+    methods that applies:
+
+    - every occupied queue lies in exactly one pool: the problem splits by
+      pool, each pool's price is its share of the backlog,
+      p_l = sum_{j in l} q_j, and the rates are the store-forward rates
+      Q_j / (A_lj N_l);
+    - every pool is one queue or two queues with unit weights, the pairs
+      form a bipartite graph, and its smaller sides hold at most
+      SCHEDULE_CAP // 2 queues: the exact block peel of ``_isotonic_peel``;
+    - otherwise a primal-dual interior-point method.
+
+    The first and last are followed by an active-set Newton polish on the
+    prices, which makes degenerate optima (a pool with zero price and
+    zero slack) exact, and take the rates q / (A^T p); the peel is exact
+    as it stands and reports zero iterations.
+    ``converged`` reports whether the KKT residual is at most ``tol``.
+    """
+    q_raw = as_finite(Q, "queue vector")
+    if q_raw.shape != (polytope.n_queues,):
+        raise ValueError("queue vector length does not match the polytope")
+    if (q_raw < 0).any():
+        raise ValueError("queue vector must be nonnegative")
+    active = q_raw > 0
+    if not active.any():
+        raise ValueError("queue vector must have at least one positive entry")
+
+    A_full = polytope.matrix
+    total = q_raw.sum()
+    # scale to a probability vector so tolerances do not depend on |Q|
+    q = q_raw[active] / total
+    A_act = A_full[:, active]
+    rows = np.flatnonzero(A_act.sum(axis=1) > 0)
+    A = A_act[rows]
+
+    member = A > 0
+    if (member.sum(axis=0) == 1).all():
+        # disjoint pools: the exact prices are the pools' backlogs
+        s_act, p, iters = _polish(member @ q, A, q, tol)
+    else:
+        # the peel's ratios of queue sums are exact on the raw (integer) Q
+        peel = _isotonic_peel(q_raw[active], A)
+        if peel is None:
+            p, ip_iters = _interior_point(q, A)
+            s_act, p, iters = _polish(p, A, q, tol)
+            iters += ip_iters
+        else:
+            s_act, p, iters = peel[0], peel[1] / total, 0
 
     # ---- assemble full-size solution ----
-    s_act = q / c
     rates = np.zeros(polytope.n_queues)
     rates[active] = s_act
     prices = np.zeros(polytope.n_pools)
@@ -259,7 +372,7 @@ def solve_prop_fair(
         prices=prices,
         objective=objective,
         kkt_residual=residual,
-        iterations=iters + newton_iters,
+        iterations=iters,
         converged=residual <= tol,
     )
 

@@ -180,8 +180,8 @@ def _pool_matrix(spec: NetworkSpec, polytope: CapacityPolytope | None):
 
 def simulate_store_forward(
     spec: NetworkSpec,
-    polytope: CapacityPolytope | None = None,
-    cfg: SimConfig = None,
+    polytope: CapacityPolytope | None,
+    cfg: SimConfig,
     initial=None,
     phi_cache: NormConstCache | None = None,
 ) -> TraceMetrics:
@@ -194,8 +194,6 @@ def simulate_store_forward(
     rates fall short.
     """
     polytope, transient = _pool_matrix(spec, polytope)
-    if cfg is None:
-        raise ValueError("a SimConfig is required")
     J, R = spec.n_queues, spec.n_routes
     rates = spec.rates()
     arr_total = float(rates.sum())

@@ -28,6 +28,7 @@ from switchnet.model import (
     compute_loads,
     enumerate_schedules,
     is_perfect,
+    two_colouring,
 )
 from switchnet.normconst import log_norm_const_neighbours
 from switchnet.presets import load_example
@@ -258,9 +259,25 @@ def test_perfect_flags():
 
 
 def test_perfect_cap():
-    g = InterferenceGraph.from_edges(20, [(0, 1)])
+    # a 17-cycle is neither bipartite nor small enough for the brute force
+    g = InterferenceGraph.from_edges(17, [(v, (v + 1) % 17) for v in range(17)])
     with pytest.raises(CapExceededError):
         is_perfect(g)
+
+
+def test_bipartite_graphs_are_perfect_past_the_cap():
+    # the 4x5 grid has 20 vertices, past the brute force's 16
+    grid = [(4 * r + c, 4 * r + c + 1) for r in range(5) for c in range(3)]
+    grid += [(v, v + 4) for v in range(16)]
+    assert is_perfect(InterferenceGraph.from_edges(20, grid))
+
+
+def test_two_colouring_puts_each_component_s_smaller_class_on_side_0():
+    # a star 0-{1,2,3}, an edge 4-5, an isolated vertex 6
+    side = two_colouring(7, [(0, 1), (0, 2), (0, 3), (4, 5)])
+    assert side.tolist() == [0, 1, 1, 1, 0, 1, 1]
+    assert two_colouring(3, [(0, 1), (1, 2), (0, 2)]) is None
+    assert two_colouring(4, [(0, 1), (1, 2), (2, 3)]).tolist() == [0, 1, 0, 1]
 
 
 def _polytope_vertices(matrix):

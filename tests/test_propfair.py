@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from switchnet.model import CapacityPolytope, enumerate_schedules
+from switchnet.model import CapacityPolytope, InterferenceGraph, cliques_to_polytope, enumerate_schedules
 from switchnet import propfair
 from switchnet.normconst import NormConstCache
 from switchnet.presets import list_examples, load_example
@@ -208,17 +208,96 @@ def test_fair_rates_are_the_store_forward_rates_on_disjoint_pools(case):
     assert np.all(gaps <= 1e-14 * scales * q.sum() * sol.rates.max())
 
 
+def _kkt(Q, A, sol):
+    """Largest violation of feasibility, of stationarity relative to
+    Q_j / s_j and of complementary slackness relative to sum(Q)."""
+    occupied = Q > 0
+    marginal = Q[occupied] / sol.rates[occupied]
+    load = A @ sol.rates
+    return max(float(np.max(load - 1.0, initial=0.0)),
+               float(np.max(abs(marginal - (A.T @ sol.prices)[occupied]) / marginal)),
+               float(np.max(sol.prices * abs(1.0 - load))) / Q.sum())
+
+
+@st.composite
+def unit_bipartite_pools(draw):
+    """A bipartite graph on at most 12 vertices, as its clique polytope or
+    as a matrix of its edges plus single-queue pools (some repeated, every
+    queue in a pool), and a queue vector with zeros in it whose occupied
+    queues do not split into disjoint pools."""
+    n = draw(st.integers(2, 12))
+    side = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if side[u] != side[v]]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    if draw(st.booleans()):
+        A = cliques_to_polytope(InterferenceGraph.from_edges(n, edges)).matrix
+    else:
+        unit = np.eye(n)
+        repeats = draw(st.lists(st.sampled_from(edges))) if edges else []
+        rows = [unit[u] + unit[v] for u, v in edges + repeats]
+        alone = sorted(set(range(n)) - {v for e in edges for v in e})
+        rows += [unit[v] for v in alone + draw(st.lists(st.integers(0, n - 1)))]
+        A = np.array(draw(st.permutations(rows)))
+    q = np.array(draw(st.lists(st.one_of(st.just(0), st.integers(1, 12)), min_size=n, max_size=n)))
+    assume(q.any())
+    held = A[:, q > 0]
+    assume(((held[held.sum(axis=1) > 0] > 0).sum(axis=0) > 1).any())
+    return CapacityPolytope(A), q
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=unit_bipartite_pools())
+def test_bipartite_block_peel_is_the_interior_point_optimum(case):
+    # on unit edges of a bipartite graph the fair rates are an isotonic
+    # regression; the peel takes them in closed form, with no interior point
+    poly, q = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(propfair, "_interior_point", None)
+        sol = solve_prop_fair(q, poly)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(propfair, "_isotonic_peel", lambda q, A: None)
+        ref = solve_prop_fair(q, poly)
+    assert sol.converged and sol.iterations == 0
+    assert sol.kkt_residual <= 1e-12 and _kkt(q, poly.matrix, sol) <= 1e-12
+    np.testing.assert_allclose(sol.rates, ref.rates, rtol=0, atol=1e-12)
+
+
 def test_shared_queues_still_run_the_interior_point(monkeypatch):
-    # every k22 queue lies in two pools, so no k22 state splits by pool
+    # tri-grid's triangles and a weighted matrix whose pools share a queue
+    # take the interior point; no k22, cycle4 or grid3x3 state does, as
+    # their pools are unit edges of a bipartite graph
     calls = []
     inner = propfair._interior_point
     monkeypatch.setattr(propfair, "_interior_point", lambda q, A: calls.append(q) or inner(q, A))
-    poly = load_example("k22").polytope
-    for q in ([1, 2, 2, 1], [3, 0, 0, 1]):
-        _check_solution(np.array(q), poly, solve_prop_fair(q, poly))
+    tri = load_example("tri-grid").polytope
+    _check_solution(np.array([3, 4, 3, 3, 3]), tri, solve_prop_fair([3, 4, 3, 3, 3], tri))
+    assert len(calls) == 1
+    weighted = CapacityPolytope(np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 2.0]]))
+    _check_solution(np.array([1, 2, 3]), weighted, solve_prop_fair([1, 2, 3], weighted))
     assert len(calls) == 2
-    solve_prop_fair([1, 0, 2], CapacityPolytope(np.array([[1.0, 0, 0], [0, 2.0, 0.5]])))
+    for name in ("k22", "cycle4", "grid3x3"):
+        ex = load_example(name)
+        for q in StationarySampler(ex.spec, ex.polytope, seed=4).sample_queues(100):
+            if q.any():
+                _check_solution(q, ex.polytope, solve_prop_fair(q, ex.polytope))
     assert len(calls) == 2
+
+
+def test_a_path_with_thirteen_queues_a_side_takes_the_interior_point(monkeypatch):
+    # the peel enumerates the subsets of the smaller side, at most
+    # SCHEDULE_CAP // 2 = 12 queues: 26 occupied queues on a path are past
+    # it, 25 are not
+    calls = []
+    inner = propfair._interior_point
+    monkeypatch.setattr(propfair, "_interior_point", lambda q, A: calls.append(q) or inner(q, A))
+    path = cliques_to_polytope(InterferenceGraph.from_edges(26, [(v, v + 1) for v in range(25)]))
+    q = np.arange(26) % 5 + 1
+    full = solve_prop_fair(q, path)
+    _check_solution(q, path, full)
+    assert len(calls) == 1 and full.iterations > 0
+    q[0] = 0
+    _check_solution(q, path, solve_prop_fair(q, path))
+    assert len(calls) == 1
 
 
 def test_kkt_residual_has_no_negative_zero():
